@@ -131,14 +131,22 @@ def cmd_satake(args) -> int:
     return 0
 
 
-def _auto_workers(requested: Optional[int], candidates: int) -> int:
-    if requested:
-        return requested
-    # default to available parallelism, but only when the enumeration is
-    # large enough to amortize process startup
-    if candidates >= 50_000:
-        return os.cpu_count() or 1
-    return 1
+def clamp_workers(requested: int, chunks: int, cpus: int) -> int:
+    """The requested process count, clamped to [1, min(chunks, cpus)]."""
+    return max(1, min(requested, chunks, cpus))
+
+
+def _auto_workers(requested: Optional[int], candidates: int,
+                  chunks: int) -> int:
+    if requested is not None and requested < 1:
+        raise DomainError(f"--workers={requested} must be >= 1")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if requested is None:
+        # default to available parallelism, but only when the enumeration
+        # is large enough to amortize process startup
+        requested = cpus if candidates >= 50_000 else 1
+    return clamp_workers(requested, chunks, cpus)
 
 
 def _random_unimodular(ring, n: int, rng: random.Random):
@@ -195,7 +203,9 @@ def _oracle_selftest(n: int, q: int, N: int, rng: random.Random) -> dict:
 
 def cmd_oracle(args) -> int:
     n, q, N = args.n, args.q, args.window
-    workers = _auto_workers(args.workers, lo.candidate_count(n, q, N))
+    # cell_census splits the (2N+1)^n diagonal profiles into chunks
+    workers = _auto_workers(args.workers, lo.candidate_count(n, q, N),
+                            (2 * N + 1) ** n)
     report = lo.oracle_report(n, q, N, conv_bound=args.conv_bound,
                               workers=workers)
     payload = {"schema": SCHEMA, **report}
@@ -250,19 +260,46 @@ def cmd_certify(args) -> int:
     return 0 if report["all_match"] else 1
 
 
+def _batch_queries(path: str) -> list[vl.VerlindeQuery]:
+    """Parse a JSON-lines file of {n, g, m} objects; blank lines are skipped.
+    Every bad line is a DomainError that names the file and the line."""
+    try:
+        with open(path) as fh:
+            raw_lines = fh.readlines()
+    except OSError as exc:
+        raise DomainError(f"{path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: cannot decode ({exc.reason})")
+    queries = []
+    for lineno, raw in enumerate(raw_lines, 1):
+        if not raw.strip():
+            continue
+        where = f"{path} line {lineno}"
+        try:
+            spec = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"{where}: not JSON ({exc.msg})")
+        if not isinstance(spec, dict):
+            raise DomainError(f"{where}: expected a JSON object")
+        for key in ("n", "g", "m"):
+            if key not in spec:
+                raise DomainError(f"{where}: missing key {key!r}")
+            if type(spec[key]) is not int:
+                raise DomainError(f"{where}: {key} must be an integer")
+        try:
+            queries.append(vl.VerlindeQuery(spec["n"], spec["g"], spec["m"]))
+        except DomainError as exc:
+            raise DomainError(f"{where}: {exc}")
+    return queries
+
+
 def cmd_verlinde(args) -> int:
     if args.batch:
         lines = []
-        with open(args.batch) as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                spec = json.loads(raw)
-                query = vl.VerlindeQuery(spec["n"], spec["g"], spec["m"])
-                out = vl.verlinde_sl_report(query)
-                out["schema"] = SCHEMA
-                lines.append(out)
+        for query in _batch_queries(args.batch):
+            out = vl.verlinde_sl_report(query)
+            out["schema"] = SCHEMA
+            lines.append(out)
         for out in lines:
             json.dump(out, sys.stdout)
             sys.stdout.write("\n")

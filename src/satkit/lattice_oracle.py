@@ -32,10 +32,19 @@ Matrix = tuple[tuple[Poly, ...], ...]
 
 
 def enumeration_budget(explicit: Optional[int] = None) -> int:
+    """The cap on candidate forms: ``explicit``, else SATKIT_BUDGET, else
+    DEFAULT_BUDGET.  A negative or non-integer value is a DomainError."""
     if explicit is not None:
+        if explicit < 0:
+            raise DomainError(f"budget={explicit} must be >= 0")
         return explicit
-    raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
+    raw = os.environ.get(BUDGET_ENV, "").strip()
+    if not raw:
+        return DEFAULT_BUDGET
+    if not raw.isdecimal():
+        raise DomainError(
+            f"{BUDGET_ENV}={raw!r} is not a non-negative integer")
+    return int(raw)
 
 
 @dataclass(frozen=True)

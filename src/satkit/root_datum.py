@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -59,13 +60,12 @@ class WeylElement:
     reduced, so ``length`` is the Coxeter length.
     """
 
-    __slots__ = ("datum", "word", "_mat_co", "_mat_wt")
+    __slots__ = ("datum", "word", "_mat_co")
 
     def __init__(self, datum: "RootDatum", word: Sequence[int] = ()):
         self.datum = datum
         self.word = tuple(word)
         self._mat_co: Optional[tuple[Vec, ...]] = None
-        self._mat_wt: Optional[tuple[Vec, ...]] = None
 
     @property
     def length(self) -> int:
@@ -80,11 +80,6 @@ class WeylElement:
             mu = self.datum.simple_reflect_coweight(i, mu)
         return mu
 
-    def act_weight(self, chi: Vec) -> Vec:
-        for i in self.word:
-            chi = self.datum.simple_reflect_weight(i, chi)
-        return chi
-
     def matrix_on_coweights(self) -> tuple[Vec, ...]:
         """Rows r_k with (w mu)_k = sum_j r_k[j] mu_j, cached."""
         if self._mat_co is None:
@@ -94,15 +89,6 @@ class WeylElement:
             self._mat_co = tuple(tuple(cols[j][k] for j in range(n))
                                  for k in range(n))
         return self._mat_co
-
-    def matrix_on_weights(self) -> tuple[Vec, ...]:
-        if self._mat_wt is None:
-            n = self.datum.dim
-            cols = [self.act_weight(tuple(int(i == j) for i in range(n)))
-                    for j in range(n)]
-            self._mat_wt = tuple(tuple(cols[j][k] for j in range(n))
-                                 for k in range(n))
-        return self._mat_wt
 
     def __repr__(self) -> str:
         if not self.word:
@@ -182,10 +168,6 @@ class RootDatum:
     def simple_reflect_coweight(self, i: int, mu: Vec) -> Vec:
         c = self.pairing(self.simple_roots[i], mu)
         return _vsub(mu, _vscale(c, self.simple_coroots[i]))
-
-    def simple_reflect_weight(self, i: int, chi: Vec) -> Vec:
-        c = self.pairing(chi, self.simple_coroots[i])
-        return _vsub(chi, _vscale(c, self.simple_roots[i]))
 
     def is_dominant(self, mu: Vec) -> bool:
         return all(self.pairing(a, mu) >= 0 for a in self.simple_roots)
@@ -323,38 +305,36 @@ class RootDatum:
 
 class _IntegralSolver:
     """Solves sum_i c_i b_i = delta for integer c, for a fixed independent
-    family (b_i) in Z^dim, via a precomputed rational left inverse."""
+    family (b_i) in Z^dim, in integer arithmetic only.
+
+    The rational left inverse Gram^{-1} B^T is computed once and stored as
+    the integer matrix den * Gram^{-1} B^T, where den is the common
+    denominator of its entries (a divisor of det Gram)."""
 
     def __init__(self, basis: Sequence[Vec], dim: int):
         self.basis = tuple(basis)
         self.dim = dim
         r = len(basis)
-        if r == 0:
-            self.pinv = ()
-            return
         # Gram = B^T B is invertible since the family is independent.
         gram = [[Fraction(sum(basis[i][k] * basis[j][k] for k in range(dim)))
                  for j in range(r)] for i in range(r)]
         inv = _invert_fraction_matrix(gram)
-        # pinv = Gram^{-1} B^T : Z^dim -> Q^r
-        self.pinv = tuple(
-            tuple(sum(inv[i][j] * basis[j][k] for j in range(r))
-                  for k in range(dim))
-            for i in range(r))
+        pinv = [[sum(inv[i][j] * basis[j][k] for j in range(r))
+                 for k in range(dim)] for i in range(r)]
+        self.den = math.lcm(*(x.denominator for row in pinv for x in row))
+        self.scaled = tuple(tuple(int(x * self.den) for x in row)
+                            for row in pinv)
 
     def solve(self, delta: Vec) -> Optional[Vec]:
-        r = len(self.basis)
-        if r == 0:
-            return () if all(x == 0 for x in delta) else None
         coords = []
-        for i in range(r):
-            c = sum(self.pinv[i][k] * delta[k] for k in range(self.dim))
-            if c.denominator != 1:
+        for row in self.scaled:
+            c, rem = divmod(sum(x * d for x, d in zip(row, delta)), self.den)
+            if rem:
                 return None
-            coords.append(int(c))
+            coords.append(c)
         # membership check: the least-squares solution must reproduce delta
         for k in range(self.dim):
-            if sum(coords[i] * self.basis[i][k] for i in range(r)) != delta[k]:
+            if sum(c * b[k] for c, b in zip(coords, self.basis)) != delta[k]:
                 return None
         return tuple(coords)
 
@@ -388,9 +368,6 @@ def _gl_datum(n: int) -> RootDatum:
                 roots.append(_vsub(e(i), e(j)))
     simple = [_vsub(e(i), e(i + 1)) for i in range(n - 1)]
     return RootDatum(f"GL({n})", n, roots, list(roots), simple, list(simple))
-
-
-_CARTAN_BUILDERS = {}
 
 
 def _chain(rank: int) -> list[list[int]]:

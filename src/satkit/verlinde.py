@@ -108,11 +108,7 @@ def _certify(query: VerlindeQuery, tol: float) -> tuple[int, float]:
 
 def verlinde_sl(query: VerlindeQuery, tol: float = TOLERANCE) -> int:
     """The certified integer value of the SL_n trigonometric dimension sum."""
-    if comb(query.n + query.m, query.n) > SUBSET_BUDGET:
-        raise TooLarge(f"binomial({query.n + query.m},{query.n}) subsets "
-                       f"exceed budget {SUBSET_BUDGET}")
-    value, _ = _certify(query, tol)
-    return value
+    return verlinde_sl_report(query, tol)["dimension"]
 
 
 def verlinde_sl_report(query: VerlindeQuery, tol: float = TOLERANCE) -> dict:

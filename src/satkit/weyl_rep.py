@@ -187,41 +187,51 @@ def q_kostant_partition(datum: RootDatum, beta: Vec) -> QPoly:
     return rec(0, coords)
 
 
-def _weyl_actions(datum: RootDatum) -> list[tuple[tuple[Vec, ...], int]]:
-    """Cached (coweight action matrix, sign) pairs for the whole Weyl group."""
-    cached = datum._caches.get("weyl_actions")
-    if cached is None:
-        cached = [(w.matrix_on_coweights(), w.sign) for w in datum.weyl_group()]
-        datum._caches["weyl_actions"] = cached
-    return cached
-
-
-def _mat_apply(mat: tuple[Vec, ...], v: Vec) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in mat)
-
-
 def lusztig_q_analog(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
     """The q-analog m_{mu,lam}(q) of the weight multiplicity, by the
-    alternating Weyl sum of q-Kostant partition values.
+    alternating Weyl sum of q-Kostant partition values
+    sum_w sign(w) P_q(w(mu+rho) - (lam+rho)).
+
+    The point 2(mu+rho) is regular, so w is determined by v = w(2(mu+rho))
+    and sign(w) is the parity of the positive roots pairing negatively with
+    v.  The sum runs over this orbit by a walk down from the dominant point:
+    from v, each simple reflection s_i with <alpha_i, v> > 0 strictly lowers
+    v by a multiple of alpha_i^vee.  Only points v with v - 2(lam+rho) in
+    the positive coroot cone have a nonzero term, and that set is closed
+    upward, so the walk expands only those and still reaches every one.
 
     Specializes to the Freudenthal multiplicity at q = 1; returns the zero
     polynomial when mu and lam lie in different coroot-lattice cosets.
     """
     _require_dominant(datum, mu)
     _require_dominant(datum, lam, "lam")
-    if datum.coroot_coordinates(_vsub(mu, lam)) is None:
+    gap = datum.coroot_coordinates(_vsub(mu, lam))
+    if gap is None:
         return QPoly.ZERO
     rho2 = datum.two_rho_check
     top2 = _vadd(_vscale(2, mu), rho2)
     low2 = _vadd(_vscale(2, lam), rho2)
     out = QPoly.ZERO
-    for mat, sign in _weyl_actions(datum):
-        arg2 = _vsub(_mat_apply(mat, top2), low2)
+    # entries: an orbit point v and the coroot coordinates of v - low2
+    stack = [(top2, _vscale(2, gap))]
+    seen = {top2}
+    while stack:
+        v, coords = stack.pop()
+        arg2 = _vsub(v, low2)
         if any(x % 2 for x in arg2):
             raise InternalInconsistency(f"odd Weyl-sum argument {arg2}")
         term = q_kostant_partition(datum, tuple(x // 2 for x in arg2))
-        if not term.is_zero:
-            out = out + (term if sign > 0 else -term)
+        if sum(datum.pairing(a, v) < 0 for a in datum.positive_roots) % 2:
+            term = -term
+        out = out + term
+        for i, a in enumerate(datum.simple_roots):
+            k = datum.pairing(a, v)
+            if 0 < k <= coords[i]:
+                u = _vsub(v, _vscale(k, datum.simple_coroots[i]))
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(
+                        (u, coords[:i] + (coords[i] - k,) + coords[i + 1:]))
     return out
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from satkit.cli import main, run_certification
+from satkit.cli import clamp_workers, main, run_certification
 
 
 def run(capsys, *argv):
@@ -127,6 +127,15 @@ def test_oracle_budget_exit_3(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_oracle_bad_budget_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("SATKIT_BUDGET", value)
+    code, _, err = run(capsys, "oracle", "--n", "2", "--q", "2",
+                       "--window", "1")
+    assert code == 2
+    assert "SATKIT_BUDGET" in err and len(err.strip().splitlines()) == 1
+
+
 def test_certify_cli(capsys):
     code, out, _ = run(capsys, "certify", "--n", "2", "--q", "2,3",
                        "--bound", "1")
@@ -166,6 +175,21 @@ def test_oracle_workers_flag(capsys):
     assert sum(r["count"] for r in json.loads(out)["cells"]) == 15
 
 
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_oracle_workers_below_one_exits_2(capsys, value):
+    code, _, err = run(capsys, "oracle", "--n", "2", "--q", "2",
+                       "--window", "1", "--workers", value)
+    assert code == 2
+    assert "--workers" in err
+
+
+def test_clamp_workers():
+    assert clamp_workers(10 ** 9, chunks=9, cpus=2) == 2
+    assert clamp_workers(10 ** 9, chunks=3, cpus=64) == 3
+    assert clamp_workers(1, chunks=9, cpus=2) == 1
+    assert clamp_workers(4, chunks=0, cpus=2) == 1
+
+
 def test_certify_includes_quasi_minuscule_row():
     report = run_certification(2, [2], -2, 2)
     row = next(r for r in report["rows"]
@@ -196,6 +220,25 @@ def test_verlinde_batch(capsys, tmp_path):
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert [l["dimension"] for l in lines] == [2, 45]
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    (b'{"n": 2, "g": 1, "m": 1}\nnot json\n', "line 2: not JSON"),
+    (b'{"n": 2, "g": 1, "m": 1}\n\n{"n": 3, "g": 2}\n',
+     "line 3: missing key 'm'"),
+    (b'{"n": 2, "g": 1, "m": 1.5}\n', "line 1: m must be an integer"),
+    (b'\xff\xfe{"n": 2}\n', "cannot decode"),
+], ids=["missing_file", "not_json", "missing_key", "not_integer",
+        "undecodable"])
+def test_verlinde_batch_bad_input_exits_2(capsys, tmp_path, content, message):
+    batch = tmp_path / "queries.jsonl"
+    if content is not None:
+        batch.write_bytes(content)
+    code, out, err = run(capsys, "verlinde", "--batch", str(batch))
+    assert code == 2 and out == ""
+    assert err.startswith(f"satkit: {batch}") and message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verlinde_missing_args(capsys):

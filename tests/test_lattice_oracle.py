@@ -91,6 +91,8 @@ def test_budget_enforced():
         list(lo.enumerate_lattices(3, 5, 3, budget=100))
     with pytest.raises(TooLarge):
         lo.count_cell((1, 0, 0), 5, 3, budget=100)
+    with pytest.raises(DomainError):
+        list(lo.enumerate_lattices(2, 2, 1, budget=-1))
 
 
 def test_budget_env_var(monkeypatch):

@@ -67,6 +67,14 @@ def test_coroot_coordinates():
     assert GL2.coroot_coordinates((1, 0)) is None
     assert GL3.coroot_coordinates((1, 0, -1)) == (1, 1)
     assert GL3.coroot_coordinates((0, 0, 0)) == (0, 0)
+    # misses: integral least-squares coordinates that do not reproduce delta
+    assert GL2.coroot_coordinates((1, 1)) is None
+    assert GL3.coroot_coordinates((1, 1, 1)) is None
+    # misses: the coroot lattice has index 3 in A2 and 2 in C2
+    A2 = make_root_datum("A2")
+    assert A2.coroot_coordinates((1, 0)) is None
+    assert A2.coroot_coordinates((2, -1)) == (1, 0)
+    assert make_root_datum("C2").coroot_coordinates((0, 1)) is None
 
 
 def test_dominance_leq():

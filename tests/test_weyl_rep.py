@@ -5,7 +5,8 @@ import pytest
 from satkit import weyl_rep as wr
 from satkit.errors import DomainError, TooLarge, UnsupportedType
 from satkit.polynomials import QPoly
-from satkit.root_datum import dominant_coweights_in_box, make_root_datum
+from satkit.root_datum import (RootDatum, dominant_coweights_in_box,
+                               make_root_datum)
 
 GL2 = make_root_datum("GL(2)")
 GL3 = make_root_datum("GL(3)")
@@ -43,6 +44,24 @@ def naive_q_kostant(datum, beta):
         return QPoly.ZERO
     top = max(out)
     return QPoly([out.get(i, 0) for i in range(top + 1)])
+
+
+def full_weyl_sum(datum, mu, lams):
+    """m_{mu,lam}(q) for each lam by the alternating sum over all of W,
+    enumerated by ``weyl_group()``; independent of the production walk."""
+    rho2 = datum.two_rho_check
+    top2 = tuple(2 * m + r for m, r in zip(mu, rho2))
+    orbit = [(w.act_coweight(top2), w.sign) for w in datum.weyl_group()]
+    out = {}
+    for lam in lams:
+        low2 = tuple(2 * x + r for x, r in zip(lam, rho2))
+        acc = QPoly.ZERO
+        for v, sign in orbit:
+            term = wr.q_kostant_partition(
+                datum, tuple((a - b) // 2 for a, b in zip(v, low2)))
+            acc = acc + (term if sign > 0 else -term)
+        out[lam] = acc
+    return out
 
 
 def gl3_hook_dim(a, b, c):
@@ -178,6 +197,29 @@ def test_lusztig_degree_bound():
             m = wr.lusztig_q_analog(GL3, mu, lam)
             bound = GL3.height2(tuple(a - b for a, b in zip(mu, lam))) // 2
             assert m.degree <= bound
+
+
+@pytest.mark.parametrize("label", ["GL2", "GL3", "GL4", "GL5", "A2", "A3",
+                                   "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_lusztig_walk_matches_full_weyl_sum(label):
+    d = make_root_datum(label)
+    for mu in dominant_coweights_in_box(d, 0, 2):
+        lams = d.dominant_below(mu)
+        expect = full_weyl_sum(d, mu, lams)
+        for lam in lams:
+            assert wr.lusztig_q_analog(d, mu, lam) == expect[lam], (mu, lam)
+
+
+def test_lusztig_never_enumerates_weyl_group(monkeypatch):
+    def refuse(self):
+        raise AssertionError("weyl_group() called")
+
+    monkeypatch.setattr(RootDatum, "weyl_group", refuse)
+    gl8 = make_root_datum("GL8")   # |W| = 40320
+    mu = (2, 1) + (0,) * 6
+    lam = (1, 1, 1) + (0,) * 5
+    # Kostka-Foulkes polynomial K_{(2,1),(1,1,1)}(q) = q + q^2
+    assert wr.lusztig_q_analog(gl8, mu, lam) == QPoly([0, 1, 1])
 
 
 def test_ic_stalk_polynomial():
