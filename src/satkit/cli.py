@@ -10,6 +10,7 @@ The SATKIT_BUDGET environment variable caps enumeration sizes.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -162,6 +163,13 @@ def _random_unimodular(ring, n: int, rng: random.Random):
     return rows
 
 
+def _poly_matmul(ring, a, b):
+    """The matrix product a b over the polynomial ring."""
+    cols = list(zip(*b))
+    return [[functools.reduce(ring.add, map(ring.mul, row, col), ())
+             for col in cols] for row in a]
+
+
 def _oracle_selftest(n: int, q: int, N: int, rng: random.Random) -> dict:
     """Randomized invariance checks, reproducible through --seed."""
     from .finite_field import GF, PolyRing
@@ -175,20 +183,7 @@ def _oracle_selftest(n: int, q: int, N: int, rng: random.Random) -> dict:
         base = lo.elementary_divisors(M, q)
         g = _random_unimodular(ring, n, rng)
         h = _random_unimodular(ring, n, rng)
-        gm = [[ring.normalize(())] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = ()
-                for k in range(n):
-                    acc = ring.add(acc, ring.mul(g[i][k], M[k][j]))
-                gm[i][j] = acc
-        gmh = [[()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = ()
-                for k in range(n):
-                    acc = ring.add(acc, ring.mul(gm[i][k], h[k][j]))
-                gmh[i][j] = acc
+        gmh = _poly_matmul(ring, _poly_matmul(ring, g, M), h)
         if lo.elementary_divisors(gmh, q) != base:
             checks["divisor_invariance"] = False
     lats = list(lo.enumerate_lattices(n, q, N))
@@ -227,6 +222,9 @@ def run_certification(n: int, q_list: Sequence[int], coord_min: int,
                       coord_max: int, budget: Optional[int] = None) -> dict:
     """Compare symbolic convolution against brute lattice counts for every
     dominant pair in the coordinate box and every admissible nu."""
+    if coord_min > coord_max:
+        raise DomainError(f"empty coordinate box [{coord_min}, {coord_max}]"
+                          ": nothing to certify")
     datum = make_root_datum(f"GL({n})")
     doms = list(dominant_coweights_in_box(datum, coord_min, coord_max))
     rows = []

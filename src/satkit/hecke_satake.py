@@ -100,8 +100,7 @@ def chi_basis(datum: RootDatum, mu: Vec) -> VirtualCharacter:
 
 def ic_function(datum: RootDatum, mu: Vec) -> HeckeElement:
     """f_mu = c_mu + sum over lam < mu of a_{mu,lam}(q) c_lam, with q = v^2."""
-    if not datum.is_dominant(mu):
-        raise DomainError(f"mu={mu} is not dominant")
+    datum.require_dominant(mu)
     cache = datum._caches.setdefault("f_basis", {})
     f = cache.get(mu)
     if f is None:

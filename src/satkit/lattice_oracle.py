@@ -101,26 +101,37 @@ def candidate_count(n: int, q: int, N: int) -> int:
     return total
 
 
-def _window_contains(ring: PolyRing, rows: list[list[Poly]], n: int,
-                     N: int) -> bool:
-    """Whether t^{2N} L0 lies in the column span (back-substitution with
-    exact-division tests)."""
-    t2N = ring.t_power(2 * N)
-    for j in range(n):
-        coeffs: dict[int, Poly] = {}
-        ok = True
-        for i in range(j, -1, -1):
-            acc = t2N if i == j else ()
-            for k in range(i + 1, j + 1):
-                ck = coeffs.get(k)
-                if ck:
-                    acc = ring.sub(acc, ring.mul(rows[i][k], ck))
-            quo = ring.divides_exactly(acc, rows[i][i])
-            if quo is None:
-                ok = False
-                break
-            coeffs[i] = quo
-        if not ok:
+def _check_budget(n: int, q: int, N: int, budget: Optional[int]) -> None:
+    """Raise TooLarge when the window's candidate forms exceed the budget."""
+    cap = enumeration_budget(budget)
+    est = candidate_count(n, q, N)
+    if est > cap:
+        raise TooLarge(f"{est} candidate forms exceed budget {cap}")
+
+
+def _solve_column(ring: PolyRing, upper: Sequence[Sequence[Poly]],
+                  rhs: Sequence[Poly], j: int) -> Optional[list[Poly]]:
+    """x with upper[i] . x = rhs[i] for i <= j, or None at a remainder."""
+    x: list[Poly] = [()] * (j + 1)
+    for i in range(j, -1, -1):
+        acc = rhs[i]
+        row = upper[i]
+        for k in range(i + 1, j + 1):
+            if x[k]:
+                acc = ring.sub(acc, ring.mul(row[k], x[k]))
+        quo = ring.divides_exactly(acc, row[i])
+        if quo is None:
+            return None
+        x[i] = quo
+    return x
+
+
+def _window_contains(ring: PolyRing, rows: list[list[Poly]],
+                     targets: Sequence[Sequence[Poly]]) -> bool:
+    """Whether the column span contains every column t^{2N} e_j in
+    ``targets``, i.e. whether it contains t^{2N} L0."""
+    for j, rhs in enumerate(targets):
+        if _solve_column(ring, rows, rhs, j) is None:
             return False
     return True
 
@@ -143,12 +154,11 @@ def enumerate_lattices(n: int, q: int, N: int,
     if n < 1 or N < 0:
         raise DomainError(f"bad enumeration parameters n={n}, N={N}")
     if profiles is None:
-        cap = enumeration_budget(budget)
-        est = candidate_count(n, q, N)
-        if est > cap:
-            raise TooLarge(f"{est} candidate forms exceed budget {cap}")
+        _check_budget(n, q, N, budget)
         profiles = _profiles(n, N)
     ring = PolyRing(GF(q))
+    t2N = ring.t_power(2 * N)
+    targets = [[t2N if i == j else () for i in range(n)] for j in range(n)]
     for dexp in profiles:
         slots = []   # (row, col) pairs above the diagonal, row-major
         choices = []
@@ -162,7 +172,7 @@ def enumerate_lattices(n: int, q: int, N: int,
                 rows[i][i] = ring.t_power(dexp[i])
             for (i, j), e in zip(slots, combo):
                 rows[i][j] = e
-            if _window_contains(ring, rows, n, N):
+            if _window_contains(ring, rows, targets):
                 yield LatticeHNF(n, q, N, tuple(tuple(r) for r in rows))
 
 
@@ -243,25 +253,24 @@ def elementary_divisors(mat: Sequence[Sequence[Sequence[int]]], q: int) -> Vec:
     return tuple(sorted(vals, reverse=True))
 
 
-def _lattice_divisor_valuations(lat: LatticeHNF) -> tuple[int, ...]:
-    """Valuations of the Smith diagonal of the HNF matrix, with the purity
-    of the divisors asserted (their product is a power of t)."""
-    ring = PolyRing(GF(lat.q))
-    diags = _diag_polys(ring, lat.mat)
-    if len(diags) < lat.n:
-        raise InternalInconsistency("singular lattice matrix")
+def _t_valuations(ring: PolyRing, mat: Sequence[Sequence[Poly]]) -> list[int]:
+    """Valuations of the Smith diagonal of a matrix between window lattices,
+    with the purity of the divisors asserted (they are powers of t)."""
+    diags = _diag_polys(ring, mat)
+    if len(diags) < len(mat):
+        raise InternalInconsistency("singular matrix between window lattices")
     vals = []
     for d in diags:
         if not ring.is_monomial(d):
             raise InternalInconsistency(
-                f"non-t-power divisor {d} in a window lattice")
+                f"non-t-power divisor {d} between window lattices")
         vals.append(len(d) - 1)
-    return tuple(vals)
+    return vals
 
 
 def inv_from_standard(lat: LatticeHNF) -> Vec:
     """Relative position inv(L0, lat)."""
-    vals = _lattice_divisor_valuations(lat)
+    vals = _t_valuations(PolyRing(GF(lat.q)), lat.mat)
     return tuple(sorted((v - lat.window for v in vals), reverse=True))
 
 
@@ -272,28 +281,17 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
         raise ShapeError("lattices live in different ambient parameters")
     n, N = lat1.n, lat1.window
     ring = PolyRing(GF(lat1.q))
-    # Solve H1 X = t^{2N} H2; X is polynomial because t^{2N} L0 <= lat1.
+    # Solve H1 X = t^{2N} H2; X is polynomial because t^{2N} L0 <= lat1,
+    # and upper triangular because H1 and H2 are.
     t2N = ring.t_power(2 * N)
-    X: list[list[Poly]] = [[() for _ in range(n)] for _ in range(n)]
-    for col in range(n):
-        for i in range(n - 1, -1, -1):
-            acc = ring.mul(t2N, lat2.mat[i][col])
-            for k in range(i + 1, n):
-                if X[k][col]:
-                    acc = ring.sub(acc, ring.mul(lat1.mat[i][k], X[k][col]))
-            quo = ring.divides_exactly(acc, lat1.mat[i][i])
-            if quo is None:
-                raise InternalInconsistency("window solve left a remainder")
-            X[i][col] = quo
-    diags = _diag_polys(ring, X)
-    if len(diags) < n:
-        raise SingularMatrix("relative-position matrix is singular")
-    vals = []
-    for d in diags:
-        if not ring.is_monomial(d):
-            raise InternalInconsistency(
-                f"non-t-power divisor {d} between window lattices")
-        vals.append(len(d) - 1)
+    cols = []
+    for j in range(n):
+        rhs = [ring.mul(t2N, lat2.mat[i][j]) for i in range(j + 1)]
+        sol = _solve_column(ring, lat1.mat, rhs, j)
+        if sol is None:
+            raise InternalInconsistency("window solve left a remainder")
+        cols.append(sol + [()] * (n - 1 - j))
+    vals = _t_valuations(ring, list(zip(*cols)))
     return tuple(sorted((v - 2 * N for v in vals), reverse=True))
 
 
@@ -314,10 +312,7 @@ def _census_chunk(args) -> dict[Vec, int]:
 def cell_census(n: int, q: int, N: int, budget: Optional[int] = None,
                 workers: int = 1) -> dict[Vec, int]:
     """Counts of every relative position inv(L0, .) over the whole window."""
-    cap = enumeration_budget(budget)
-    est = candidate_count(n, q, N)
-    if est > cap:
-        raise TooLarge(f"{est} candidate forms exceed budget {cap}")
+    _check_budget(n, q, N, budget)
     if workers > 1:
         profs = list(_profiles(n, N))
         chunk_size = max(1, len(profs) // (4 * workers))
@@ -375,11 +370,7 @@ def brute_convolution(lam: Vec, mu: Vec, nu: Vec, q: int,
     if sum(lam) + sum(mu) != sum(nu):
         return 0
     n = len(lam)
-    cap = enumeration_budget(budget)
-    N_enum = max((abs(x) for x in lam), default=0)
-    est = candidate_count(n, q, N_enum)
-    if est > cap:
-        raise TooLarge(f"{est} candidate forms exceed budget {cap}")
+    _check_budget(n, q, max((abs(x) for x in lam), default=0), budget)
     return _convolution_histogram(n, q, lam, nu).get(mu, 0)
 
 
@@ -430,6 +421,9 @@ def oracle_report(n: int, q: int, N: int, conv_bound: Optional[int] = None,
                   budget: Optional[int] = None, workers: int = 1) -> dict:
     """Machine-readable census of cells (and optionally convolutions) for
     one (n, q, N)."""
+    if conv_bound is not None and conv_bound < 0:
+        raise DomainError(f"conv_bound={conv_bound} must be >= 0: "
+                          "the convolution box is empty")
     census = cell_census(n, q, N, budget=budget, workers=workers)
     cells = [{"mu": list(mu), "count": census[mu]}
              for mu in sorted(census, reverse=True)]

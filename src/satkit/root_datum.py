@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .errors import ShapeError, UnsupportedType
+from .errors import (DomainError, InternalInconsistency, ShapeError,
+                     UnsupportedType)
 
 Vec = tuple[int, ...]
 
@@ -97,9 +98,13 @@ class WeylElement:
 
 
 class RootDatum:
-    """Immutable root datum with Weyl group access.
+    """A root datum with Weyl group access.
 
-    All operations are pure; instances are safe to share across threads.
+    The roots, 2rho, the form ``gram`` and the coroot coordinates of the
+    positive coroots are fixed at construction.  ``weyl_group()`` and the
+    result memos in ``_caches`` (``kostant_memo``, ``explicit_modules``,
+    ``f_basis``, ``tensor``) fill in later, unlocked: do not share an
+    instance across threads.
     """
 
     def __init__(self, label: str, dim: int,
@@ -125,8 +130,17 @@ class RootDatum:
             self.two_rho_check = _vadd(self.two_rho_check, av)
         self._validate()
         self._coroot_solver = _IntegralSolver(self.simple_coroots, dim)
+        # W-invariant form B(x, y) = sum over positive roots of <a, x><a, y>
+        self.gram = tuple(
+            tuple(sum(a[i] * a[j] for a in self.positive_roots)
+                  for j in range(dim))
+            for i in range(dim))
+        self.positive_coroot_coordinates = tuple(
+            map(self.coroot_coordinates, self.positive_coroots))
+        if None in self.positive_coroot_coordinates:
+            raise InternalInconsistency("positive coroot outside lattice")
         self._weyl_cache: Optional[list[WeylElement]] = None
-        self._caches: dict = {}   # scratch memo space for higher modules
+        self._caches: dict = {}   # result memos of higher modules
 
     # -- construction-time checks ------------------------------------------
 
@@ -171,6 +185,10 @@ class RootDatum:
 
     def is_dominant(self, mu: Vec) -> bool:
         return all(self.pairing(a, mu) >= 0 for a in self.simple_roots)
+
+    def require_dominant(self, mu: Vec, name: str = "mu") -> None:
+        if not self.is_dominant(mu):
+            raise DomainError(f"{name}={mu} is not dominant for {self.label}")
 
     def is_dominant_weight(self, chi: Vec) -> bool:
         return all(self.pairing(chi, av) >= 0 for av in self.simple_coroots)
@@ -263,32 +281,24 @@ class RootDatum:
     def dominant_below(self, mu: Vec) -> list[Vec]:
         """All dominant lam <= mu, sorted by <2rho, lam> then lexicographically.
 
-        Enumerates coefficient vectors c >= 0 with bounded sum, then keeps
-        the dominant results.
+        Walks down from mu by positive coroots and keeps only dominant
+        points.  This reaches every dominant lam <= mu: whenever a dominant
+        mu' covers a dominant lam in the dominance order, mu' - lam is a
+        positive coroot (Stembridge, The partial order of dominant weights,
+        Adv. Math. 136, 1998).
         """
         if not self.is_dominant(mu):
             raise ShapeError("dominant_below expects a dominant coweight")
-        # <2rho, .> is >= 0 on dominants and drops by exactly 2 per simple
-        # coroot, so sum(c) is at most floor(<rho, mu>).
-        budget = self.height2(mu) // 2
-        found = []
-        if self.rank == 0:
-            return [mu]
-
-        def rec(idx: int, remaining: int, cur: Vec) -> None:
-            if idx == self.rank:
-                if self.is_dominant(cur):
-                    found.append(cur)
-                return
-            step = self.simple_coroots[idx]
-            v = cur
-            for c in range(remaining + 1):
-                rec(idx + 1, remaining - c, v)
-                v = _vsub(v, step)
-
-        rec(0, budget, mu)
-        found.sort(key=lambda lam: (self.height2(lam), lam))
-        return found
+        found = {mu}
+        stack = [mu]
+        while stack:
+            cur = stack.pop()
+            for beta in self.positive_coroots:
+                lam = _vsub(cur, beta)
+                if lam not in found and self.is_dominant(lam):
+                    found.add(lam)
+                    stack.append(lam)
+        return sorted(found, key=lambda lam: (self.height2(lam), lam))
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,11 +13,6 @@ from .root_datum import RootDatum, Vec, _vadd, _vsub
 from . import weyl_rep
 
 
-def _require_dominant(datum: RootDatum, mu: Vec, name: str = "mu") -> None:
-    if not datum.is_dominant(mu):
-        raise DomainError(f"{name}={mu} is not dominant for {datum.label}")
-
-
 def _half(n: int, what: str) -> int:
     if n % 2:
         raise InternalInconsistency(f"<2rho, {what}> = {n} is odd")
@@ -26,25 +21,25 @@ def _half(n: int, what: str) -> int:
 
 def schubert_dim(datum: RootDatum, mu: Vec) -> int:
     """Dimension <2rho, mu> of the cell attached to a dominant coweight."""
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     return datum.height2(mu)
 
 
 def closure_cells(datum: RootDatum, mu: Vec) -> list[Vec]:
     """All dominant lam <= mu (the strata of the closure), sorted by dimension."""
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     return datum.dominant_below(mu)
 
 
 def parity(datum: RootDatum, mu: Vec) -> str:
     """'even' or 'odd' according to <2rho, mu>; constant on components."""
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     return "odd" if datum.height2(mu) % 2 else "even"
 
 
 def is_minuscule(datum: RootDatum, mu: Vec) -> bool:
     """mu != 0 with <alpha, mu> <= 1 for every positive root alpha."""
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     if all(x == 0 for x in mu):
         return False
     return all(datum.pairing(a, mu) <= 1 for a in datum.positive_roots)
@@ -56,7 +51,7 @@ def is_quasi_minuscule(datum: RootDatum, mu: Vec) -> bool:
     Such a coweight is the short dominant coroot, so coroot membership is
     part of the test; this keeps central translates of it from qualifying.
     """
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     if all(x == 0 for x in mu) or is_minuscule(datum, mu):
         return False
     if mu not in datum.coroots:
@@ -73,7 +68,7 @@ def parabolic_flag_dim(datum: RootDatum, mu: Vec) -> int:
 
 def opposite_codim(datum: RootDatum, mu: Vec) -> int:
     """Codimension <2rho, mu> - dim G/P_mu of the opposite Schubert variety."""
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     codim = datum.height2(mu) - parabolic_flag_dim(datum, mu)
     if codim < 0:
         raise InternalInconsistency(f"negative opposite codimension for {mu}")
@@ -83,7 +78,7 @@ def opposite_codim(datum: RootDatum, mu: Vec) -> int:
 def mv_cycle_dim(datum: RootDatum, lam: Vec, mu: Vec) -> int:
     """Dimension <rho, lam + mu> of the cycles in S_lam within the closure of
     the mu-cell; requires lam^+ <= mu."""
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     lam_plus, _ = datum.dominant_representative(lam)
     if not datum.leq(lam_plus, mu):
         raise EmptyIntersection(f"t^{lam} does not lie in the closure for mu={mu}")
@@ -92,10 +87,10 @@ def mv_cycle_dim(datum: RootDatum, lam: Vec, mu: Vec) -> int:
 
 def satake_fiber_dim_bound(datum: RootDatum, mu_list: list[Vec], lam: Vec) -> int:
     """Semismall bound <rho, |mu.| - lam> on convolution-fiber dimension."""
-    _require_dominant(datum, lam, "lam")
+    datum.require_dominant(lam, "lam")
     total = (0,) * datum.dim
     for mu in mu_list:
-        _require_dominant(datum, mu)
+        datum.require_dominant(mu)
         total = _vadd(total, mu)
     if not datum.leq(lam, total):
         raise EmptyFiber(f"lam={lam} is not below |mu.|={total}")
@@ -108,7 +103,7 @@ def mv_basis_table(datum: RootDatum, mu: Vec) -> list[tuple[Vec, int, int]]:
     The component count is the weight multiplicity, so the counts sum to
     dim L_mu.  Rows are sorted by decreasing dimension, then lexicographically.
     """
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     mults = weyl_rep.weight_multiplicities(datum, mu)
     rows = [(lam, mv_cycle_dim(datum, lam, mu), m) for lam, m in mults.items()]
     rows.sort(key=lambda r: (-r[1], r[0]))

@@ -22,27 +22,8 @@ from .root_datum import RootDatum, Vec, _vadd, _vscale, _vsub
 _AMBIENT_WORD_BUDGET = 5_000_000  # n^d guard for the explicit construction
 
 
-def _require_dominant(datum: RootDatum, mu: Vec, name: str = "mu") -> None:
-    if not datum.is_dominant(mu):
-        raise DomainError(f"{name}={mu} is not dominant for {datum.label}")
-
-
-def _gram(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """W-invariant symmetric form on the coweight lattice,
-    B(x, y) = sum over positive roots of <a, x><a, y>."""
-    cached = datum._caches.get("gram")
-    if cached is None:
-        n = datum.dim
-        cached = tuple(
-            tuple(sum(a[i] * a[j] for a in datum.positive_roots)
-                  for j in range(n))
-            for i in range(n))
-        datum._caches["gram"] = cached
-    return cached
-
-
 def _form(datum: RootDatum, x: Vec, y: Vec) -> int:
-    g = _gram(datum)
+    g = datum.gram
     return sum(x[i] * sum(g[i][j] * y[j] for j in range(datum.dim))
                for i in range(datum.dim))
 
@@ -50,7 +31,7 @@ def _form(datum: RootDatum, x: Vec, y: Vec) -> int:
 def weight_multiplicities(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
     """All weights of the dual-group irreducible L_mu with multiplicities,
     by the Freudenthal recursion over dominant weights."""
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     dom = datum.dominant_below(mu)
     domset = set(dom)
     rho2 = datum.two_rho_check
@@ -100,7 +81,7 @@ def weight_multiplicity(datum: RootDatum, mu: Vec, lam: Vec) -> int:
 
 def dim_rep(datum: RootDatum, mu: Vec) -> int:
     """Dimension of L_mu by the Weyl product formula, evaluated exactly."""
-    _require_dominant(datum, mu)
+    datum.require_dominant(mu)
     rho2 = datum.two_rho_check
     top = _vadd(_vscale(2, mu), rho2)
     num = 1
@@ -120,8 +101,8 @@ def tensor_decompose(datum: RootDatum, lam: Vec, mu: Vec) -> dict[Vec, int]:
     shifted by mu plus the half-sum of positive coroots, straightened to the
     dominant chamber with a sign, and walls are discarded.
     """
-    _require_dominant(datum, lam, "lam")
-    _require_dominant(datum, mu, "mu")
+    datum.require_dominant(lam, "lam")
+    datum.require_dominant(mu, "mu")
     rho2 = datum.two_rho_check
     acc: dict[Vec, int] = {}
     for nu_p, m in weight_multiplicities(datum, lam).items():
@@ -141,19 +122,6 @@ def tensor_decompose(datum: RootDatum, lam: Vec, mu: Vec) -> dict[Vec, int]:
     return out
 
 
-def _positive_coroot_coordinate_table(datum: RootDatum) -> list[Vec]:
-    cached = datum._caches.get("pos_coroot_coords")
-    if cached is None:
-        cached = []
-        for gamma in datum.positive_coroots:
-            coords = datum.coroot_coordinates(gamma)
-            if coords is None:
-                raise InternalInconsistency(f"positive coroot {gamma} outside lattice")
-            cached.append(coords)
-        datum._caches["pos_coroot_coords"] = cached
-    return cached
-
-
 def q_kostant_partition(datum: RootDatum, beta: Vec) -> QPoly:
     """q-analog of the Kostant partition function over positive coroots:
     the generating polynomial of expressions beta = sum n_gamma gamma weighted
@@ -161,7 +129,7 @@ def q_kostant_partition(datum: RootDatum, beta: Vec) -> QPoly:
     coords = datum.coroot_coordinates(beta)
     if coords is None or any(c < 0 for c in coords):
         return QPoly.ZERO
-    table = _positive_coroot_coordinate_table(datum)
+    table = datum.positive_coroot_coordinates
     memo = datum._caches.setdefault("kostant_memo", {})
 
     def rec(idx: int, rem: Vec) -> QPoly:
@@ -203,8 +171,8 @@ def lusztig_q_analog(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
     Specializes to the Freudenthal multiplicity at q = 1; returns the zero
     polynomial when mu and lam lie in different coroot-lattice cosets.
     """
-    _require_dominant(datum, mu)
-    _require_dominant(datum, lam, "lam")
+    datum.require_dominant(mu)
+    datum.require_dominant(lam, "lam")
     gap = datum.coroot_coordinates(_vsub(mu, lam))
     if gap is None:
         return QPoly.ZERO
@@ -241,8 +209,8 @@ def ic_stalk_polynomial(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
     The exponent flip is well defined because deg m <= <rho, mu-lam>, which
     is asserted.  a_{mu,mu} = 1.
     """
-    _require_dominant(datum, mu)
-    _require_dominant(datum, lam, "lam")
+    datum.require_dominant(mu)
+    datum.require_dominant(lam, "lam")
     if not datum.leq(lam, mu):
         raise DomainError(f"lam={lam} is not below mu={mu}")
     h2 = datum.height2(_vsub(mu, lam))
@@ -334,30 +302,13 @@ class ExplicitModule:
 
     def _generate(self, hw: dict) -> dict[Vec, list[dict]]:
         echelon: dict[tuple[int, ...], dict] = {}
-
-        def reduce_insert(vec: dict) -> bool:
-            vec = dict(vec)
-            while vec:
-                lead = min(vec)
-                base = echelon.get(lead)
-                if base is None:
-                    c = vec[lead]
-                    echelon[lead] = {w: x / c for w, x in vec.items()}
-                    return True
-                f = vec[lead]
-                for w, x in base.items():
-                    vec[w] = vec.get(w, 0) - f * x
-                    if vec[w] == 0:
-                        del vec[w]
-            return False
-
         queue = [dict(hw)]
-        reduce_insert(hw)
+        _echelon_insert(echelon, hw)
         while queue:
             v = queue.pop()
             for i in range(self.n - 1):
                 img = self._apply_f(i, v)
-                if img and reduce_insert(img):
+                if img and _echelon_insert(echelon, img):
                     queue.append(img)
         by_weight: dict[Vec, list[dict]] = {}
         for lead, vec in echelon.items():
@@ -379,24 +330,29 @@ class ExplicitModule:
         return QPoly(coeffs)
 
 
+def _echelon_insert(pivots: dict, vec: dict) -> bool:
+    """Reduce vec by the monic pivot rows; store it and return True if new."""
+    vec = dict(vec)
+    while vec:
+        lead = min(vec)
+        base = pivots.get(lead)
+        if base is None:
+            c = vec[lead]
+            pivots[lead] = {j: x / c for j, x in vec.items()}
+            return True
+        f = vec[lead]
+        for j, x in base.items():
+            vec[j] = vec.get(j, 0) - f * x
+            if vec[j] == 0:
+                del vec[j]
+    return False
+
+
 def _nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
     """Nullspace basis of a sparse integer matrix, echelon order, over Q."""
-    work = [{j: Fraction(c) for j, c in row.items()} for row in rows if row]
     pivots: dict[int, dict[int, Fraction]] = {}
-    for row in work:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            base = pivots.get(lead)
-            if base is None:
-                c = row[lead]
-                pivots[lead] = {j: x / c for j, x in row.items()}
-                break
-            f = row[lead]
-            for j, x in base.items():
-                row[j] = row.get(j, 0) - f * x
-                if row[j] == 0:
-                    del row[j]
+    for row in rows:
+        _echelon_insert(pivots, {j: Fraction(c) for j, c in row.items()})
     free = [j for j in range(ncols) if j not in pivots]
     out = []
     for j0 in free:
@@ -413,23 +369,7 @@ def _nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fractio
 
 def _rank(vecs: list[dict]) -> int:
     pivots: dict = {}
-    rank = 0
-    for vec in vecs:
-        row = dict(vec)
-        while row:
-            lead = min(row)
-            base = pivots.get(lead)
-            if base is None:
-                c = row[lead]
-                pivots[lead] = {w: x / c for w, x in row.items()}
-                rank += 1
-                break
-            f = row[lead]
-            for w, x in base.items():
-                row[w] = row.get(w, 0) - f * x
-                if row[w] == 0:
-                    del row[w]
-    return rank
+    return sum(_echelon_insert(pivots, v) for v in vecs)
 
 
 def _to_partition_pair(datum: RootDatum, mu: Vec, lam: Vec):
@@ -469,8 +409,8 @@ def bk_oracle(datum: RootDatum, mu: Vec, lam: Vec, dim_cap: int = 3000) -> QPoly
     This is the independent desk-scale verifier for ``lusztig_q_analog``;
     it never shares code with the Weyl-sum route.
     """
-    _require_dominant(datum, mu)
-    _require_dominant(datum, lam, "lam")
+    datum.require_dominant(mu)
+    datum.require_dominant(lam, "lam")
     pair = _to_partition_pair(datum, mu, lam)
     if pair is None:
         return QPoly.ZERO

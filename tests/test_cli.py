@@ -136,6 +136,17 @@ def test_oracle_bad_budget_env_exits_2(capsys, monkeypatch, value):
     assert "SATKIT_BUDGET" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "2", "--q", "2", "--bound", "-1"],
+    ["certify", "--n", "2", "--q", "2", "--coord-min", "2", "--coord-max", "-2"],
+    ["oracle", "--n", "2", "--q", "2", "--window", "1", "--conv-bound", "-1"],
+], ids=["bound_negative", "coord_min_above_max", "conv_bound_negative"])
+def test_empty_box_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+
+
 def test_certify_cli(capsys):
     code, out, _ = run(capsys, "certify", "--n", "2", "--q", "2,3",
                        "--bound", "1")

@@ -93,6 +93,12 @@ def test_budget_enforced():
         lo.count_cell((1, 0, 0), 5, 3, budget=100)
     with pytest.raises(DomainError):
         list(lo.enumerate_lattices(2, 2, 1, budget=-1))
+    # the lam-cell is enumerated in its tight window N=1: 21 forms at q=2
+    with pytest.raises(TooLarge):
+        lo.brute_convolution((1, 0), (1, 0), (1, 1), 2, budget=20)
+    with pytest.raises(DomainError):
+        lo.brute_convolution((1, 0), (1, 0), (1, 1), 2, budget=-1)
+    assert lo.brute_convolution((1, 0), (1, 0), (1, 1), 2, budget=21) == 3
 
 
 def test_budget_env_var(monkeypatch):

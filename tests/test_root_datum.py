@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from satkit.errors import ShapeError, UnsupportedType
-from satkit.root_datum import (Dominance, dominant_coweights_in_box,
+from satkit.root_datum import (Dominance, _vsub, dominant_coweights_in_box,
                                make_root_datum)
 
 GL2 = make_root_datum("GL(2)")
@@ -169,6 +169,45 @@ def test_dominant_below_sorted_by_height():
     assert cells == [(1, 1, 1), (2, 1, 0)]
     heights = [GL3.height2(c) for c in cells]
     assert heights == sorted(heights)
+
+
+def _dominant_below_by_coefficients(d, mu):
+    """Reference: every mu - sum c_i alpha_i^vee with c >= 0 and
+    sum c <= <rho, mu>, keeping the dominant results."""
+    if d.rank == 0:
+        return [mu]
+    found = []
+
+    def rec(idx, remaining, cur):
+        if idx == d.rank:
+            if d.is_dominant(cur):
+                found.append(cur)
+            return
+        step = d.simple_coroots[idx]
+        v = cur
+        for c in range(remaining + 1):
+            rec(idx + 1, remaining - c, v)
+            v = _vsub(v, step)
+
+    rec(0, d.height2(mu) // 2, mu)
+    found.sort(key=lambda lam: (d.height2(lam), lam))
+    return found
+
+
+# The reference visits (<rho, mu> + rank choose rank) vectors, so mu is
+# capped at <rho, mu> <= 16: that keeps 262 of the 293 coweights, and drops
+# only the tops of the B3, C3, B4, C4 and D5 boxes.
+@pytest.mark.parametrize("label,lo,hi", [
+    ("GL1", -2, 2), ("GL2", -2, 2), ("GL3", -1, 2), ("GL4", -1, 1),
+    ("GL5", -1, 1), ("A1", 0, 3), ("A2", 0, 2), ("A3", 0, 2), ("A4", 0, 1),
+    ("B2", 0, 2), ("B3", 0, 2), ("B4", 0, 1), ("C2", 0, 2), ("C3", 0, 2),
+    ("C4", 0, 1), ("D4", 0, 1), ("D5", 0, 1), ("G2", 0, 2),
+])
+def test_dominant_below_matches_coefficient_enumeration(label, lo, hi):
+    d = make_root_datum(label)
+    for mu in dominant_coweights_in_box(d, lo, hi):
+        if d.height2(mu) <= 32:
+            assert d.dominant_below(mu) == _dominant_below_by_coefficients(d, mu)
 
 
 def test_partial_order_laws_small():
