@@ -369,6 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumeration processes (default: auto)")
     p.add_argument("--selftest", action="store_true",
                    help="run seeded randomized invariance checks")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="same as satkit --seed")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("certify",

@@ -32,8 +32,7 @@ class _Span:
                 c = Laurent.from_int(c)
             if c.is_zero:
                 continue
-            if not datum.is_dominant(mu):
-                raise DomainError(f"support element {mu} is not dominant")
+            datum.require_dominant(mu, "support element")
             clean[mu] = c
         self.coeffs = clean
 

@@ -93,7 +93,9 @@ def rewindow(lat: LatticeHNF, N: int) -> LatticeHNF:
 
 
 def candidate_count(n: int, q: int, N: int) -> int:
-    """Number of reduced triangular forms scanned by the enumeration."""
+    """Size of the search space: reduced triangular forms over every diagonal
+    profile of the window.  It is the budget measure; the column walk of
+    ``enumerate_lattices`` tests far fewer forms."""
     total = 1
     for i in range(n):
         cols_right = n - 1 - i
@@ -111,7 +113,11 @@ def _check_budget(n: int, q: int, N: int, budget: Optional[int]) -> None:
 
 def _solve_column(ring: PolyRing, upper: Sequence[Sequence[Poly]],
                   rhs: Sequence[Poly], j: int) -> Optional[list[Poly]]:
-    """x with upper[i] . x = rhs[i] for i <= j, or None at a remainder."""
+    """x with upper[i] . x = rhs[i] for i <= j, or None at a remainder.
+
+    Every diagonal entry upper[i][i] must be a power t^d of t, as in every
+    Hermite form here, so dividing by it is a shift: the d lowest
+    coefficients must vanish and the rest is the quotient."""
     x: list[Poly] = [()] * (j + 1)
     for i in range(j, -1, -1):
         acc = rhs[i]
@@ -119,21 +125,11 @@ def _solve_column(ring: PolyRing, upper: Sequence[Sequence[Poly]],
         for k in range(i + 1, j + 1):
             if x[k]:
                 acc = ring.sub(acc, ring.mul(row[k], x[k]))
-        quo = ring.divides_exactly(acc, row[i])
-        if quo is None:
+        d = len(row[i]) - 1
+        if any(acc[:d]):
             return None
-        x[i] = quo
+        x[i] = acc[d:]
     return x
-
-
-def _window_contains(ring: PolyRing, rows: list[list[Poly]],
-                     targets: Sequence[Sequence[Poly]]) -> bool:
-    """Whether the column span contains every column t^{2N} e_j in
-    ``targets``, i.e. whether it contains t^{2N} L0."""
-    for j, rhs in enumerate(targets):
-        if _solve_column(ring, rows, rhs, j) is None:
-            return False
-    return True
 
 
 def _profiles(n: int, N: int) -> Iterator[tuple[int, ...]]:
@@ -146,10 +142,12 @@ def enumerate_lattices(n: int, q: int, N: int,
                        ) -> Iterator[LatticeHNF]:
     """Every lattice of the window exactly once, in a deterministic order.
 
-    Iterates diagonal exponent profiles, then all reduced off-diagonal
-    entries, keeping the matrices whose span contains t^{2N} L0 (triangular
-    reduced forms are automatically canonical, but not all of them are
-    window lattices).
+    Iterates diagonal exponent profiles, then fills the reduced entries
+    above the diagonal column by column.  The solve for t^{2N} e_j reads
+    only columns <= j, so a prefix of columns is extended only when its
+    last column passes; the complete forms that pass every column are the
+    forms whose span contains t^{2N} L0 (triangular reduced forms are
+    automatically canonical, but not all of them are window lattices).
     """
     if n < 1 or N < 0:
         raise DomainError(f"bad enumeration parameters n={n}, N={N}")
@@ -158,22 +156,23 @@ def enumerate_lattices(n: int, q: int, N: int,
         profiles = _profiles(n, N)
     ring = PolyRing(GF(q))
     t2N = ring.t_power(2 * N)
-    targets = [[t2N if i == j else () for i in range(n)] for j in range(n)]
-    for dexp in profiles:
-        slots = []   # (row, col) pairs above the diagonal, row-major
-        choices = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                slots.append((i, j))
-                choices.append(list(ring.all_of_degree_below(dexp[i])))
-        for combo in itertools.product(*choices):
-            rows = [[() for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = ring.t_power(dexp[i])
-            for (i, j), e in zip(slots, combo):
+    reduced = [list(ring.all_of_degree_below(d)) for d in range(2 * N + 1)]
+
+    def fill(rows: list[list[Poly]], dexp: tuple[int, ...], j: int):
+        if j == n:
+            yield LatticeHNF(n, q, N, tuple(map(tuple, rows)))
+            return
+        rhs = [()] * j + [t2N]
+        for col in itertools.product(*(reduced[d] for d in dexp[:j])):
+            for i, e in enumerate(col):
                 rows[i][j] = e
-            if _window_contains(ring, rows, targets):
-                yield LatticeHNF(n, q, N, tuple(tuple(r) for r in rows))
+            if _solve_column(ring, rows, rhs, j) is not None:
+                yield from fill(rows, dexp, j + 1)
+
+    for dexp in profiles:
+        rows = [[ring.t_power(d) if i == j else () for j in range(n)]
+                for i, d in enumerate(dexp)]
+        yield from fill(rows, dexp, 1)
 
 
 def _diag_polys(ring: PolyRing, mat: Sequence[Sequence[Poly]]) -> list[Poly]:
@@ -296,6 +295,8 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
 
 
 def _require_dominant_gl(mu: Vec, name: str = "mu") -> None:
+    """GL(n) dominance without a RootDatum: count_cell and brute_convolution
+    take bare coweights and have no datum to call require_dominant on."""
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
         raise DomainError(f"{name}={mu} is not dominant for GL({len(mu)})")
 
@@ -338,11 +339,19 @@ def count_cell(mu: Vec, q: int, N: int, budget: Optional[int] = None,
 
 
 @lru_cache(maxsize=None)
+def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
+    """Every lattice of the window, grouped by inv(L0, .): one enumeration
+    serves every cell of the window."""
+    cells: dict[Vec, list[LatticeHNF]] = {}
+    for lat in enumerate_lattices(n, q, N):
+        cells.setdefault(inv_from_standard(lat), []).append(lat)
+    return {lam: tuple(lats) for lam, lats in cells.items()}
+
+
 def _cell_members(n: int, q: int, lam: Vec) -> tuple[LatticeHNF, ...]:
     """All lattices with inv(L0, .) = lam, enumerated in the tight window."""
     N = max((abs(x) for x in lam), default=0)
-    return tuple(lat for lat in enumerate_lattices(n, q, N)
-                 if inv_from_standard(lat) == lam)
+    return _window_cells(n, q, N).get(lam, ())
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from satkit.cli import clamp_workers, main, run_certification
+from satkit.cli import build_parser, clamp_workers, main, run_certification
 
 
 def run(capsys, *argv):
@@ -117,6 +117,18 @@ def test_oracle(capsys, tmp_path):
     assert payload["selftest"] == {"divisor_invariance": True,
                                    "duality": True}
     assert (tmp_path / "rep_cells.csv").exists()
+
+
+def test_oracle_seed_before_or_after_subcommand(capsys):
+    argv = ["oracle", "--n", "2", "--q", "2", "--window", "1", "--selftest"]
+    code_before, out_before, _ = run(capsys, "--seed", "5", *argv)
+    code_after, out_after, _ = run(capsys, *argv, "--seed", "5")
+    assert code_before == code_after == 0
+    assert out_before == out_after
+    parser = build_parser()
+    assert parser.parse_args(["--seed", "5", *argv]).seed == 5
+    assert parser.parse_args([*argv, "--seed", "5"]).seed == 5
+    assert parser.parse_args(argv).seed == 0
 
 
 def test_oracle_budget_exit_3(capsys, monkeypatch):

@@ -25,6 +25,12 @@ def test_element_normalization():
         hs.HeckeElement(GL2, {(0, 1): Laurent.ONE})
 
 
+def test_non_dominant_support_names_datum():
+    with pytest.raises(DomainError, match=r"support element=\(0, 1, 0\) "
+                       r"is not dominant for GL\(3\)"):
+        hs.VirtualCharacter(GL3, {(2, 0, 0): 1, (0, 1, 0): 1})
+
+
 def test_ic_function():
     assert hs.ic_function(GL2, (0, 0)) == hs.c_basis(GL2, (0, 0))
     assert hs.ic_function(GL2, (1, 0)) == hs.c_basis(GL2, (1, 0))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -107,6 +108,90 @@ def test_budget_env_var(monkeypatch):
         list(lo.enumerate_lattices(2, 2, 1))
     monkeypatch.delenv(lo.BUDGET_ENV)
     assert sum(1 for _ in lo.enumerate_lattices(2, 2, 1)) == 15
+
+
+def _full_scan(n, q, N):
+    """The reference: every reduced triangular form of every diagonal
+    profile, kept when each t^{2N} e_j solves by long division."""
+    ring = PolyRing(GF(q))
+    t2N = ring.t_power(2 * N)
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for dexp in itertools.product(range(2 * N + 1), repeat=n):
+        choices = [list(ring.all_of_degree_below(dexp[i])) for i, _ in slots]
+        for combo in itertools.product(*choices):
+            rows = [[ring.t_power(dexp[i]) if i == j else ()
+                     for j in range(n)] for i in range(n)]
+            for (i, j), e in zip(slots, combo):
+                rows[i][j] = e
+            if all(_divides_column(ring, rows, t2N, j) for j in range(n)):
+                yield tuple(tuple(r) for r in rows)
+
+
+def _divides_column(ring, rows, t2N, j):
+    x = [()] * (j + 1)
+    for i in range(j, -1, -1):
+        acc = t2N if i == j else ()
+        for k in range(i + 1, j + 1):
+            acc = ring.sub(acc, ring.mul(rows[i][k], x[k]))
+        x[i] = ring.divides_exactly(acc, rows[i][i])
+        if x[i] is None:
+            return False
+    return True
+
+
+WALK_CASES = [(1, 3, 2), (2, 4, 2), (2, 9, 1), (3, 2, 1), (3, 4, 1), (4, 2, 1)]
+
+
+@pytest.mark.parametrize("n,q,N", WALK_CASES)
+def test_column_walk_matches_full_scan(n, q, N):
+    walk = [lat.mat for lat in lo.enumerate_lattices(n, q, N)]
+    assert len(set(walk)) == len(walk)
+    assert set(walk) == set(_full_scan(n, q, N))
+    profs = list(lo._profiles(n, N))
+    chunked = [lat.mat for k in range(0, len(profs), 4)
+               for lat in lo.enumerate_lattices(n, q, N,
+                                                profiles=profs[k:k + 4])]
+    assert sorted(chunked) == sorted(walk)
+
+
+def test_column_walk_prunes(monkeypatch):
+    calls = 0
+    solve = lo._solve_column
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(lo, "_solve_column", counted)
+    assert sum(1 for _ in lo.enumerate_lattices(3, 5, 1)) == 2607
+    assert calls < lo.candidate_count(3, 5, 1) // 5
+
+
+def _macdonald_count(mu, q):
+    """#Gr_mu(F_q) = q^<2rho,mu> P_n(1/q) / prod_k P_{m_k}(1/q), with
+    P_m(x) = (1-x)...(1-x^m) and m_k the multiplicities of the entries."""
+    def P(m):
+        out = Fraction(1)
+        for i in range(1, m + 1):
+            out *= 1 - Fraction(1, q ** i)
+        return out
+
+    value = Fraction(q) ** sum(a - b for a, b in itertools.combinations(mu, 2))
+    value *= P(len(mu))
+    for m in (mu.count(x) for x in set(mu)):
+        value /= P(m)
+    assert value.denominator == 1
+    return int(value)
+
+
+@pytest.mark.parametrize("n,q,N", [(2, 4, 2), (2, 8, 1), (2, 9, 2),
+                                   (3, 4, 1), (3, 5, 1), (4, 2, 1)])
+def test_census_matches_macdonald(n, q, N):
+    dominant = [mu for mu in itertools.product(range(N, -N - 1, -1), repeat=n)
+                if list(mu) == sorted(mu, reverse=True)]
+    assert lo.cell_census(n, q, N) == \
+        {mu: _macdonald_count(mu, q) for mu in dominant}
 
 
 # -- elementary divisors and relative position -----------------------------------
@@ -234,6 +319,7 @@ def test_census_totality():
 
 def test_census_parallel_matches_serial():
     assert lo.cell_census(2, 3, 1, workers=2) == lo.cell_census(2, 3, 1)
+    assert lo.cell_census(3, 3, 1, workers=2) == lo.cell_census(3, 3, 1)
 
 
 def test_brute_convolution_frozen_values():
