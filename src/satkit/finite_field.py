@@ -9,6 +9,7 @@ Polynomials are coefficient tuples, ascending in t, with no trailing zeros.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import UnsupportedType
@@ -27,6 +28,10 @@ _IRREDUCIBLE = {
 }
 
 Poly = tuple[int, ...]
+
+# The tables are q x q and inverses are found by search, so time and memory
+# grow as q^2: refuse a larger field before building anything.
+_MAX_Q = 1024
 
 
 def _is_prime(n: int) -> bool:
@@ -54,22 +59,17 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     raise UnsupportedType(f"{q} is not a prime power")
 
 
+@lru_cache(maxsize=16)
 class GF:
-    """The finite field with q elements, q = p^e, e <= 3."""
+    """The finite field with q elements, q = p^e <= 1024, e <= 3.  The
+    class is memoized, so GF(q) builds the tables of each q once."""
 
-    _instances: dict[int, "GF"] = {}
-
-    def __new__(cls, q: int) -> "GF":
-        inst = cls._instances.get(q)
-        if inst is None:
-            inst = super().__new__(cls)
-            inst._init(q)
-            cls._instances[q] = inst
-        return inst
-
-    def _init(self, q: int) -> None:
+    def __init__(self, q: int) -> None:
         if q < 2:
             raise UnsupportedType(f"q={q} must be a prime power >= 2")
+        if q > _MAX_Q:
+            raise UnsupportedType(f"q={q} exceeds the largest supported "
+                                  f"field size {_MAX_Q}")
         p, e = _factor_prime_power(q)
         if e > 1 and (p, e) not in _IRREDUCIBLE:
             raise UnsupportedType(
@@ -223,11 +223,6 @@ class PolyRing:
                 for i, bc in enumerate(b):
                     rem[k - db + i] = f.sub(rem[k - db + i], f.mul(factor, bc))
         return self.normalize(quo), self.normalize(rem)
-
-    def divides_exactly(self, a: Poly, b: Poly) -> Poly | None:
-        """a / b when the remainder vanishes, else None."""
-        q, r = self.divmod(a, b)
-        return q if not r else None
 
     def monic(self, a: Poly) -> Poly:
         if not a or a[-1] == 1:

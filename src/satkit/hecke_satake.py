@@ -11,6 +11,7 @@ InternalInconsistency because it signals a wrong normalization, not bad input.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import DomainError, InternalInconsistency
@@ -97,19 +98,15 @@ def chi_basis(datum: RootDatum, mu: Vec) -> VirtualCharacter:
     return VirtualCharacter(datum, {mu: Laurent.ONE})
 
 
+@lru_cache(maxsize=4096)
 def ic_function(datum: RootDatum, mu: Vec) -> HeckeElement:
     """f_mu = c_mu + sum over lam < mu of a_{mu,lam}(q) c_lam, with q = v^2."""
     datum.require_dominant(mu)
-    cache = datum._caches.setdefault("f_basis", {})
-    f = cache.get(mu)
-    if f is None:
-        coeffs = {}
-        for lam in datum.dominant_below(mu):
-            a = weyl_rep.ic_stalk_polynomial(datum, mu, lam)
-            coeffs[lam] = Laurent.from_qpoly(a)
-        f = HeckeElement(datum, coeffs)
-        cache[mu] = f
-    return f
+    coeffs = {}
+    for lam in datum.dominant_below(mu):
+        a = weyl_rep.ic_stalk_polynomial(datum, mu, lam)
+        coeffs[lam] = Laurent.from_qpoly(a)
+    return HeckeElement(datum, coeffs)
 
 
 def satake_transform(datum: RootDatum, h: HeckeElement) -> VirtualCharacter:
@@ -140,14 +137,10 @@ def inverse_satake(datum: RootDatum, chi: VirtualCharacter) -> HeckeElement:
     return HeckeElement(datum, out)
 
 
-def _tensor_cached(datum: RootDatum, lam: Vec, mu: Vec) -> dict[Vec, int]:
-    key = (lam, mu) if lam <= mu else (mu, lam)
-    cache = datum._caches.setdefault("tensor", {})
-    t = cache.get(key)
-    if t is None:
-        t = weyl_rep.tensor_decompose(datum, key[0], key[1])
-        cache[key] = t
-    return t
+@lru_cache(maxsize=4096)
+def _tensor(datum: RootDatum, lam: Vec, mu: Vec) -> dict[Vec, int]:
+    """tensor_decompose, memoized; the dict is shared, so read it only."""
+    return weyl_rep.tensor_decompose(datum, lam, mu)
 
 
 def character_product(datum: RootDatum, x: VirtualCharacter,
@@ -157,7 +150,7 @@ def character_product(datum: RootDatum, x: VirtualCharacter,
     for lam, a in x.coeffs.items():
         for mu, b in y.coeffs.items():
             ab = a * b
-            for nu, m in _tensor_cached(datum, lam, mu).items():
+            for nu, m in _tensor(datum, *sorted((lam, mu))).items():
                 out[nu] = out.get(nu, Laurent.ZERO) + ab * m
     return VirtualCharacter(datum, out)
 

@@ -338,7 +338,7 @@ def count_cell(mu: Vec, q: int, N: int, budget: Optional[int] = None,
     return cell_census(len(mu), q, N, budget=budget, workers=workers).get(mu, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
     """Every lattice of the window, grouped by inv(L0, .): one enumeration
     serves every cell of the window."""
@@ -354,7 +354,7 @@ def _cell_members(n: int, q: int, lam: Vec) -> tuple[LatticeHNF, ...]:
     return _window_cells(n, q, N).get(lam, ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _convolution_histogram(n: int, q: int, lam: Vec, nu: Vec) -> dict:
     """For fixed lam, nu: counts of inv(L', t^nu L0) over the lam-cell."""
     N = max(max((abs(x) for x in lam), default=0),

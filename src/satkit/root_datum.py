@@ -19,6 +19,7 @@ import enum
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import (DomainError, InternalInconsistency, ShapeError,
@@ -61,12 +62,11 @@ class WeylElement:
     reduced, so ``length`` is the Coxeter length.
     """
 
-    __slots__ = ("datum", "word", "_mat_co")
+    __slots__ = ("datum", "word")
 
     def __init__(self, datum: "RootDatum", word: Sequence[int] = ()):
         self.datum = datum
         self.word = tuple(word)
-        self._mat_co: Optional[tuple[Vec, ...]] = None
 
     @property
     def length(self) -> int:
@@ -82,14 +82,11 @@ class WeylElement:
         return mu
 
     def matrix_on_coweights(self) -> tuple[Vec, ...]:
-        """Rows r_k with (w mu)_k = sum_j r_k[j] mu_j, cached."""
-        if self._mat_co is None:
-            n = self.datum.dim
-            cols = [self.act_coweight(tuple(int(i == j) for i in range(n)))
-                    for j in range(n)]
-            self._mat_co = tuple(tuple(cols[j][k] for j in range(n))
-                                 for k in range(n))
-        return self._mat_co
+        """Rows r_k with (w mu)_k = sum_j r_k[j] mu_j."""
+        n = self.datum.dim
+        cols = [self.act_coweight(tuple(int(i == j) for i in range(n)))
+                for j in range(n)]
+        return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
 
     def __repr__(self) -> str:
         if not self.word:
@@ -100,11 +97,12 @@ class WeylElement:
 class RootDatum:
     """A root datum with Weyl group access.
 
-    The roots, 2rho, the form ``gram`` and the coroot coordinates of the
-    positive coroots are fixed at construction.  ``weyl_group()`` and the
-    result memos in ``_caches`` (``kostant_memo``, ``explicit_modules``,
-    ``f_basis``, ``tensor``) fill in later, unlocked: do not share an
-    instance across threads.
+    ``make_root_datum`` returns one datum per normalized label, so equal
+    labels give the same object and identity is equality.  The roots, 2rho,
+    the form ``gram`` and the coroot coordinates of the positive coroots are
+    fixed at construction, and nothing changes afterwards.  Results computed
+    from a datum are memoized by the modules that compute them, in bounded
+    module-level ``functools.lru_cache`` memos keyed by the datum.
     """
 
     def __init__(self, label: str, dim: int,
@@ -139,8 +137,6 @@ class RootDatum:
             map(self.coroot_coordinates, self.positive_coroots))
         if None in self.positive_coroot_coordinates:
             raise InternalInconsistency("positive coroot outside lattice")
-        self._weyl_cache: Optional[list[WeylElement]] = None
-        self._caches: dict = {}   # result memos of higher modules
 
     # -- construction-time checks ------------------------------------------
 
@@ -189,9 +185,6 @@ class RootDatum:
     def require_dominant(self, mu: Vec, name: str = "mu") -> None:
         if not self.is_dominant(mu):
             raise DomainError(f"{name}={mu} is not dominant for {self.label}")
-
-    def is_dominant_weight(self, chi: Vec) -> bool:
-        return all(self.pairing(chi, av) >= 0 for av in self.simple_coroots)
 
     def coroot_coordinates(self, delta: Vec) -> Optional[Vec]:
         """Coefficients of delta in the simple-coroot basis, or None.
@@ -247,32 +240,32 @@ class RootDatum:
             frontier = nxt
         return frozenset(seen)
 
+    @lru_cache(maxsize=32)
     def weyl_group(self) -> list[WeylElement]:
-        """All Weyl group elements with reduced words, by BFS from the identity."""
-        if self._weyl_cache is None:
-            idmat = tuple(tuple(int(i == j) for j in range(self.dim))
-                          for i in range(self.dim))
-            seen = {idmat: ()}
-            frontier = [(idmat, ())]
-            elements = [WeylElement(self, ())]
-            while frontier:
-                nxt = []
-                for mat, word in frontier:
-                    for i in range(self.rank):
-                        # rows are the images of the basis coweights under
-                        # the element, which identifies it uniquely
-                        rows = tuple(self.simple_reflect_coweight(i, row)
-                                     for row in mat)
-                        if rows not in seen:
-                            w = word + (i,)
-                            seen[rows] = w
-                            nxt.append((rows, w))
-                            elements.append(WeylElement(self, w))
-                            if len(elements) > _WEYL_BUDGET:
-                                raise ShapeError("Weyl group too large to enumerate")
-                frontier = nxt
-            self._weyl_cache = elements
-        return self._weyl_cache
+        """All Weyl group elements with reduced words, by BFS from the
+        identity.  A test reference: production code never calls it."""
+        idmat = tuple(tuple(int(i == j) for j in range(self.dim))
+                      for i in range(self.dim))
+        seen = {idmat: ()}
+        frontier = [(idmat, ())]
+        elements = [WeylElement(self, ())]
+        while frontier:
+            nxt = []
+            for mat, word in frontier:
+                for i in range(self.rank):
+                    # rows are the images of the basis coweights under the
+                    # element, which identifies it uniquely
+                    rows = tuple(self.simple_reflect_coweight(i, row)
+                                 for row in mat)
+                    if rows not in seen:
+                        w = word + (i,)
+                        seen[rows] = w
+                        nxt.append((rows, w))
+                        elements.append(WeylElement(self, w))
+                        if len(elements) > _WEYL_BUDGET:
+                            raise ShapeError("Weyl group too large to enumerate")
+            frontier = nxt
+        return elements
 
     def height2(self, mu: Vec) -> int:
         """<2rho, mu>: twice the dominance height for coroot-lattice elements."""
@@ -367,6 +360,7 @@ def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
 
 # -- concrete realizations ---------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _gl_datum(n: int) -> RootDatum:
     def e(i: int) -> Vec:
         return tuple(int(k == i) for k in range(n))
@@ -421,6 +415,7 @@ def _cartan(series: str, rank: int) -> list[list[int]]:
     raise UnsupportedType(f"series {series!r} not supported")
 
 
+@lru_cache(maxsize=64)
 def _simple_datum(series: str, rank: int) -> RootDatum:
     cartan = _cartan(series, rank)
 
@@ -458,7 +453,8 @@ def _simple_datum(series: str, rank: int) -> RootDatum:
 
 
 def make_root_datum(label: str) -> RootDatum:
-    """Build a root datum from a label like 'GL(3)', 'GL3', 'A2', 'C_2', 'G2'."""
+    """The root datum of a label like 'GL(3)', 'GL3', 'A2', 'C_2', 'G2';
+    spellings of one label give the same object."""
     s = label.strip().replace("_", "").replace(" ", "").upper()
     if s.startswith("GL"):
         body = s[2:].strip("()")

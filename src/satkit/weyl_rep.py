@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, InternalInconsistency, TooLarge, UnsupportedType
 from .polynomials import QPoly
@@ -36,11 +37,6 @@ def weight_multiplicities(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
     domset = set(dom)
     rho2 = datum.two_rho_check
     mults: dict[Vec, int] = {mu: 1}
-
-    def mult_of(nu: Vec) -> int:
-        rep, _ = datum.dominant_representative(nu)
-        return mults.get(rep, 0)
-
     top2 = _vadd(_vscale(2, mu), rho2)
     norm_top = _form(datum, top2, top2)
     for lam in sorted(dom, key=datum.height2, reverse=True):
@@ -129,30 +125,28 @@ def q_kostant_partition(datum: RootDatum, beta: Vec) -> QPoly:
     coords = datum.coroot_coordinates(beta)
     if coords is None or any(c < 0 for c in coords):
         return QPoly.ZERO
+    return _kostant(datum, 0, coords)
+
+
+@lru_cache(maxsize=1 << 17)
+def _kostant(datum: RootDatum, idx: int, rem: Vec) -> QPoly:
+    """P_q of rem (in coroot coordinates) over the positive coroots from
+    index idx on.  The bound holds a whole DP without eviction: an LRU
+    eviction in the middle of a recursion makes it recompute subtrees."""
+    if all(c == 0 for c in rem):
+        return QPoly.ONE
     table = datum.positive_coroot_coordinates
-    memo = datum._caches.setdefault("kostant_memo", {})
-
-    def rec(idx: int, rem: Vec) -> QPoly:
-        if all(c == 0 for c in rem):
-            return QPoly.ONE
-        if idx == len(table):
-            return QPoly.ZERO
-        key = (idx, rem)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        g = table[idx]
-        out = QPoly.ZERO
-        cur = rem
-        k = 0
-        while all(c >= 0 for c in cur):
-            out = out + rec(idx + 1, cur).shift(k)
-            cur = _vsub(cur, g)
-            k += 1
-        memo[key] = out
-        return out
-
-    return rec(0, coords)
+    if idx == len(table):
+        return QPoly.ZERO
+    g = table[idx]
+    out = QPoly.ZERO
+    cur = rem
+    k = 0
+    while all(c >= 0 for c in cur):
+        out = out + _kostant(datum, idx + 1, cur).shift(k)
+        cur = _vsub(cur, g)
+        k += 1
+    return out
 
 
 def lusztig_q_analog(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
@@ -330,6 +324,9 @@ class ExplicitModule:
         return QPoly(coeffs)
 
 
+_explicit_module = lru_cache(maxsize=64)(ExplicitModule)
+
+
 def _echelon_insert(pivots: dict, vec: dict) -> bool:
     """Reduce vec by the monic pivot rows; store it and return True if new."""
     vec = dict(vec)
@@ -420,12 +417,8 @@ def bk_oracle(datum: RootDatum, mu: Vec, lam: Vec, dim_cap: int = 3000) -> QPoly
         raise TooLarge(f"dim L_mu = {d} exceeds cap {dim_cap}")
     if any(x < 0 for x in lam_p):
         return QPoly.ZERO
-    cache = datum._caches.setdefault("explicit_modules", {})
-    module = cache.get(mu_p)
-    if module is None:
-        module = ExplicitModule(n, mu_p)
-        if module.dim != d:
-            raise InternalInconsistency(
-                f"explicit module dimension {module.dim} != {d}")
-        cache[mu_p] = module
+    module = _explicit_module(n, mu_p)
+    if module.dim != d:
+        raise InternalInconsistency(
+            f"explicit module dimension {module.dim} != {d}")
     return module.graded_kernel_dims(lam_p)

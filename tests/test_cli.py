@@ -159,6 +159,17 @@ def test_empty_box_exits_2(capsys, argv):
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "--n", "2", "--q", "1031", "--bound", "0"],
+    ["oracle", "--n", "1", "--q", "1031", "--window", "0"],
+], ids=["certify", "oracle"])
+def test_field_too_large_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "q=1031" in err
+
+
 def test_certify_cli(capsys):
     code, out, _ = run(capsys, "certify", "--n", "2", "--q", "2,3",
                        "--bound", "1")

@@ -49,6 +49,8 @@ def test_unsupported_q():
         GF(16)   # e = 4 not on file
     with pytest.raises(UnsupportedType):
         GF(1)
+    with pytest.raises(UnsupportedType, match="1024"):
+        GF(1031)   # prime, but refused before any q x q table is built
 
 
 def test_poly_arithmetic():
@@ -61,7 +63,7 @@ def test_poly_arithmetic():
     assert quo == a and rem == ()
     quo, rem = ring.divmod(ring.add(prod, (1,)), b)
     assert rem == (1,)
-    assert ring.divides_exactly(prod, a) == b
+    assert ring.divmod(prod, a) == (b, ())
 
 
 def test_poly_valuation_and_monomial():

@@ -5,6 +5,7 @@ import pytest
 
 from satkit import hecke_satake as hs
 from satkit import weyl_rep as wr
+from satkit.cli import main
 from satkit.errors import DomainError
 from satkit.polynomials import Laurent, QPoly
 from satkit.root_datum import dominant_coweights_in_box, make_root_datum
@@ -37,6 +38,24 @@ def test_ic_function():
     f20 = hs.ic_function(GL2, (2, 0))
     assert f20 == hs.HeckeElement(
         GL2, {(2, 0): Laurent.ONE, (1, 1): Laurent.ONE})
+
+
+def test_elements_of_one_label_compare_equal():
+    # _Span compares datums by identity; one datum per label makes that work
+    assert (hs.c_basis(make_root_datum("GL(2)"), (1, 0))
+            == hs.c_basis(make_root_datum("GL(2)"), (1, 0)))
+    assert hs.c_basis(make_root_datum("GL2"), (1, 0)) == hs.c_basis(GL2, (1, 0))
+
+
+def test_repeated_convolve_request_reuses_ic_functions(capsys):
+    argv = ["convolve", "--type", "C", "--rank", "2",
+            "--lam", "1,0", "--mu", "0,1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    misses = hs.ic_function.cache_info().misses
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert hs.ic_function.cache_info().misses == misses
 
 
 def test_satake_transform_examples():

@@ -133,8 +133,8 @@ def _divides_column(ring, rows, t2N, j):
         acc = t2N if i == j else ()
         for k in range(i + 1, j + 1):
             acc = ring.sub(acc, ring.mul(rows[i][k], x[k]))
-        x[i] = ring.divides_exactly(acc, rows[i][i])
-        if x[i] is None:
+        x[i], rem = ring.divmod(acc, rows[i][i])
+        if rem:
             return False
     return True
 

@@ -10,6 +10,13 @@ GL2 = make_root_datum("GL(2)")
 GL3 = make_root_datum("GL(3)")
 
 
+def test_labels_share_one_datum():
+    assert make_root_datum("GL(2)") is make_root_datum("GL2")
+    assert make_root_datum("gl 2") is GL2
+    assert make_root_datum("C_2") is make_root_datum("C2")
+    assert make_root_datum("A2") is not make_root_datum("GL(3)")
+
+
 def test_gl2_realization():
     assert set(GL2.roots) == {(1, -1), (-1, 1)}
     assert GL2.two_rho == (1, -1)
