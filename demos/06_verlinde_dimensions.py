@@ -1,9 +1,10 @@
 """
-Verlinde dimensions with certified integrality
-==============================================
+Verlinde dimensions as exact integers
+=====================================
 
-The SL_n trigonometric sum evaluated in interval arithmetic: the result is
-accepted only when the enclosure pins an integer to within 1e-6.
+The SL_n trigonometric sum evaluated exactly in the cyclotomic integers
+Z[w]/Phi_4h(w), h = n + m: every non-constant coefficient must cancel and
+the result must be a positive integer, so the residual is exactly 0.
 """
 
 from satkit.verlinde import (VerlindeQuery, genus_one_dimension,

@@ -291,8 +291,17 @@ def _batch_queries(path: str) -> list[vl.VerlindeQuery]:
     return queries
 
 
+# the flags each verlinde mode may combine
+_VERLINDE_MODES = ({"--batch"}, {"--ade", "--g"}, {"--n", "--g", "--m"})
+
+
 def cmd_verlinde(args) -> int:
-    if args.batch:
+    given = [flag for flag in ("--batch", "--ade", "--n", "--g", "--m")
+             if getattr(args, flag[2:]) is not None]
+    if not any(set(given) <= mode for mode in _VERLINDE_MODES):
+        raise DomainError("use one of --batch, --ade with --g, or --n --g "
+                          "--m; got " + " ".join(given))
+    if args.batch is not None:
         lines = []
         for query in _batch_queries(args.batch):
             out = vl.verlinde_sl_report(query)
@@ -303,7 +312,7 @@ def cmd_verlinde(args) -> int:
             sys.stdout.write("\n")
         print(f"{len(lines)} queries", file=sys.stderr)
         return 0
-    if args.ade:
+    if args.ade is not None:
         if args.g is None:
             raise DomainError("--ade requires --g")
         dim = vl.level_one_ade(args.ade, args.g)
@@ -320,7 +329,9 @@ def cmd_verlinde(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The `satkit` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="satkit",
         description="Exact affine-Grassmannian combinatorics with a "
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coord-max", type=int, default=None)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("verlinde", help="certified Verlinde dimensions")
+    p = sub.add_parser("verlinde", help="exact Verlinde dimensions")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--m", type=int, default=None)

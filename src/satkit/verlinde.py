@@ -1,25 +1,28 @@
-"""Verlinde dimensions for SL_n with interval-certified integrality.
+"""Verlinde dimensions for SL_n as exact cyclotomic sums.
 
-The trigonometric sum is evaluated in interval arithmetic at adjustable
-precision; the precision doubles until the enclosure is tighter than half
-the integrality tolerance, and the nearest integer is returned only when
-the certified distance is below the tolerance.
+With h = n + m, an n-subset S of Z/h contributes the product of
+2 sin(pi |s - t| / h) over s in S, t not in S, to the power g - 1.  That
+product is h^n over the squared product of the distances inside S, and the
+sum is invariant under rotation, so the subsets containing 0 are grouped
+by their histogram of cyclic distances inside S, once per (n, m).  As
+2 sin(pi k / h) = (1 - w^(4k)) w^(h - 2k) with w = exp(2 pi i / 4h), the
+sum is evaluated in Z[w] / Phi_4h(w), where being rational is the
+checkable statement that every non-constant coefficient vanishes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-
-import mpmath
+from math import comb, prod
 
 from .errors import DomainError, IntegralityFailure, TooLarge, UnsupportedType
 
 SUBSET_BUDGET = 1_000_000
 TOLERANCE = 1e-6
-_MAX_PREC = 4096
 
 # center orders of the simply connected ADE groups
 _CENTER = {"E6": 3, "E7": 2, "E8": 1}
@@ -27,13 +30,12 @@ _CENTER = {"E6": 3, "E7": 2, "E8": 1}
 
 @dataclass(frozen=True)
 class VerlindeQuery:
-    """Inputs for one SL_n dimension: rank parameter n >= 2, genus g >= 0,
-    level m >= 1, and the starting precision in bits."""
+    """Inputs for one SL_n dimension: rank parameter n >= 2, genus g >= 0
+    and level m >= 1."""
 
     n: int
     g: int
     m: int
-    precision: int = 64
 
     def __post_init__(self):
         if self.n < 2:
@@ -42,83 +44,81 @@ class VerlindeQuery:
             raise DomainError(f"g={self.g} must be >= 0")
         if self.m < 1:
             raise DomainError(f"m={self.m} must be >= 1")
-        if self.precision < 8:
-            raise DomainError("precision must be at least 8 bits")
 
 
-def _interval_sum(query: VerlindeQuery, prec: int):
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = prec
-    try:
-        n, g, m = query.n, query.g, query.m
-        h = m + n
-        pi = +iv.pi
-        sins = {}
-        for k in range(1, h):
-            s = 2 * iv.sin(pi * k / h)
-            if 0 in s:
-                raise IntegralityFailure(
-                    f"sin interval at k={k}/{h} contains zero")
-            sins[k] = s ** (g - 1)
-        total = iv.mpf(0)
-        universe = range(1, h + 1)
-        for S in itertools.combinations(universe, n):
-            inside = set(S)
-            term = iv.mpf(1)
-            for s in S:
-                for t in universe:
-                    if t not in inside:
-                        term *= sins[abs(s - t)]
-            total += term
-        factor = Fraction(n, h) ** g
-        total *= iv.mpf(factor.numerator)
-        total /= iv.mpf(factor.denominator)
-        return total
-    finally:
-        iv.prec = old
+@functools.lru_cache(maxsize=64)
+def _histograms(n: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(c, count) pairs over the n-subsets S of Z/h that contain 0, where
+    c[k] counts the pairs inside S at cyclic distance k, for 0 < k <= h/2."""
+    h = n + m
+    counts = Counter()
+    for rest in itertools.combinations(range(1, h), n - 1):
+        c = [0] * (h // 2 + 1)
+        for s, t in itertools.combinations((0, *rest), 2):
+            c[min(t - s, h - t + s)] += 1
+        counts[tuple(c)] += 1
+    return tuple(counts.items())
 
 
-def _certify(query: VerlindeQuery, tol: float) -> tuple[int, float]:
-    prec = query.precision
-    while True:
-        enclosure = _interval_sum(query, prec)
-        # endpoint arithmetic must run at working precision, or the width
-        # collapses to zero when both endpoints round to the same double
-        with mpmath.workprec(prec + 16):
-            lo = mpmath.mpf(enclosure.a)
-            hi = mpmath.mpf(enclosure.b)
-            width = hi - lo
-            if width < tol / 2:
-                nearest = int(mpmath.nint((lo + hi) / 2))
-                residual = float(max(abs(lo - nearest), abs(hi - nearest)))
-                if residual >= tol:
-                    raise IntegralityFailure(
-                        f"value in [{lo}, {hi}] is not within {tol} "
-                        "of an integer")
-                if nearest <= 0:
-                    raise IntegralityFailure(
-                        f"certified value {nearest} is not positive")
-                return nearest, residual
-        if prec >= _MAX_PREC:
-            raise IntegralityFailure(
-                f"cannot certify at precision {prec} (width {width})")
-        prec *= 2
+def _cyclotomic(N: int) -> list[int]:
+    """Phi_N, constant term first: the power series of the product of
+    (1 - x^(N/e))^mu(e) over the squarefree divisors e of N."""
+    primes = [p for p in range(2, N + 1)
+              if N % p == 0 and all(p % q for q in range(2, p))]
+    deg = N * prod(p - 1 for p in primes) // prod(primes)
+    poly = [1] + [0] * deg
+    for r in range(len(primes) + 1):
+        for d in (N // prod(e) for e in itertools.combinations(primes, r)):
+            if r % 2:   # divide by 1 - x^d
+                for i in range(d, deg + 1):
+                    poly[i] += poly[i - d]
+            else:
+                for i in range(deg, d - 1, -1):
+                    poly[i] -= poly[i - d]
+    return poly
 
 
 def verlinde_sl(query: VerlindeQuery, tol: float = TOLERANCE) -> int:
-    """The certified integer value of the SL_n trigonometric dimension sum."""
+    """The exact integer value of the SL_n trigonometric dimension sum."""
     return verlinde_sl_report(query, tol)["dimension"]
 
 
 def verlinde_sl_report(query: VerlindeQuery, tol: float = TOLERANCE) -> dict:
-    """Dimension plus the certified integrality residual, for reporting."""
-    if comb(query.n + query.m, query.n) > SUBSET_BUDGET:
-        raise TooLarge(f"binomial({query.n + query.m},{query.n}) subsets "
+    """Dimension plus its integrality residual, which is 0.0 for an exact
+    sum and so below any positive tolerance."""
+    n, g, m = query.n, query.g, query.m
+    if comb(n + m, n) > SUBSET_BUDGET:
+        raise TooLarge(f"binomial({n + m},{n}) subsets "
                        f"exceed budget {SUBSET_BUDGET}")
-    value, residual = _certify(query, tol)
-    return {"n": query.n, "g": query.g, "m": query.m,
-            "dimension": value, "residual": residual}
+    if not tol > 0.0:
+        raise IntegralityFailure(f"residual 0.0 is not below tol={tol}")
+    h = n + m
+    total = [0] * (4 * h)   # in Z[w]/(w^4h - 1)
+    for c, count in _histograms(n, m):
+        a, shift = [1] + [0] * (h - 1), 0
+        for k in range(1, len(c)):
+            # distance k occurs 2n times from S (n times at k = h/2), twice
+            # per pair inside S; genus 0 inverts: inside S squared over h^n
+            across = n * (1 + (2 * k < h)) - 2 * c[k]
+            e = 2 * c[k] if g == 0 else (g - 1) * across
+            for _ in range(e):   # times 1 - zeta^k, with zeta = w^4
+                a = [a[j] - a[j - k] for j in range(h)]
+            shift += e * (h - 2 * k)
+        for j, x in enumerate(a):
+            total[(4 * j + shift) % (4 * h)] += count * x
+    phi = _cyclotomic(4 * h)
+    deg = len(phi) - 1
+    for i in range(4 * h - 1, deg - 1, -1):   # reduce mod the monic Phi_4h
+        top = total[i]
+        for j, p in enumerate(phi):
+            total[i - deg + j] -= top * p
+    if any(total[1:deg]):
+        raise IntegralityFailure(f"sum for n={n}, g={g}, m={m} is not "
+                                 "rational: a non-constant term survives")
+    value = Fraction(n, h) ** (g - 1) * total[0] / (h ** n if g == 0 else 1)
+    if value.denominator != 1 or value <= 0:
+        raise IntegralityFailure(f"value {value} is not a positive integer")
+    return {"n": n, "g": g, "m": m, "dimension": int(value), "residual": 0.0}
 
 
 def genus_one_dimension(n: int, m: int) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -278,6 +282,51 @@ def test_verlinde_batch_bad_input_exits_2(capsys, tmp_path, content, message):
 def test_verlinde_missing_args(capsys):
     code, _, err = run(capsys, "verlinde", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--g", "2", "--m", "2", "--batch", "queries.jsonl"],
+    ["--ade", "E8", "--g", "5", "--n", "3", "--m", "2"],
+], ids=["n_m_with_batch", "n_m_with_ade"])
+def test_verlinde_conflicting_modes_exit_2(capsys, tmp_path, monkeypatch,
+                                           argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "queries.jsonl").write_text('{"n": 2, "g": 1, "m": 1}\n')
+    code, out, err = run(capsys, "verlinde", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("satkit: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "2", "--g", "2", "--m", "3"], "not rational"),
+    (["--n", "2", "--g", "0", "--m", "2"], "not a positive integer"),
+], ids=["irrational", "not_integer"])
+def test_verlinde_integrality_failure_exits_1(capsys, monkeypatch, argv,
+                                              message):
+    # one subset class, {0, 1}, alone is not a whole orbit sum
+    monkeypatch.setattr("satkit.verlinde._histograms",
+                        lambda n, m: (((0, 1, 0), 1),))
+    code, out, err = run(capsys, "verlinde", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("satkit: check failed") and message in err
+
+
+def test_parser_built_once(capsys):
+    build_parser.cache_clear()
+    run(capsys, "verlinde", "--n", "2", "--g", "1", "--m", "1")
+    run(capsys, "verlinde", "--ade", "E8", "--g", "2")
+    assert build_parser.cache_info().misses == 1
+
+
+def test_import_loads_no_mpmath():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, satkit.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_json_deterministic(capsys):

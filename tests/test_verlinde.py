@@ -1,3 +1,10 @@
+"""Verlinde dimensions, checked against closed forms and against the fusion
+ring at level m, which shares no code with satkit."""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from satkit.errors import DomainError, TooLarge, UnsupportedType
@@ -10,6 +17,7 @@ def test_frozen_values():
     assert verlinde_sl(VerlindeQuery(2, 1, 3)) == 4
     assert verlinde_sl(VerlindeQuery(2, 2, 1)) == 4
     assert verlinde_sl(VerlindeQuery(3, 2, 1)) == 9
+    assert verlinde_sl(VerlindeQuery(8, 2, 8)) == 5_758_168_862_848
 
 
 def test_genus_zero_is_one_at_any_level():
@@ -81,3 +89,149 @@ def test_query_validation():
 def test_subset_budget():
     with pytest.raises(TooLarge):
         verlinde_sl(VerlindeQuery(30, 1, 30))
+
+
+# The fusion-ring route (Beauville, "Conformal blocks, fusion rules and the
+# Verlinde formula", 1996): dim V_g = Tr(Omega^(g-1)) with
+# Omega = sum over lam of N_lam N_lam^T.
+
+def _alcove(n, m):
+    """The level-m weights of SL_n as partitions with at most n - 1 rows and
+    first part at most m, by size and then lexicographically, so that every
+    weight comes after those below it in dominance order."""
+    return sorted((lam for lam in itertools.product(range(m + 1), repeat=n - 1)
+                   if all(a >= b for a, b in zip(lam, lam[1:]))),
+                  key=lambda lam: (sum(lam), lam))
+
+
+def _add_strip(lam, k, n, m):
+    """Fusion with the minuscule omega_k: lam plus a vertical k-strip, full
+    columns of n boxes removed, and every result of level above m dropped."""
+    out = []
+    for rows in itertools.combinations(range(n), k):
+        nu = [x + (i in rows) for i, x in enumerate(lam + (0,))]
+        if all(a >= b for a, b in zip(nu, nu[1:])) and nu[0] - nu[-1] <= m:
+            out.append(tuple(x - nu[-1] for x in nu[:-1]))
+    return out
+
+
+def _fusion_product(n, m):
+    """The number of alcove weights and prod(a, b), the fusion product of
+    the a-th and b-th weights as {index: multiplicity}.
+
+    The product e_k s_low, with low the weight lam less its first column of
+    k boxes, is s_lam plus terms below lam, so each N_lam follows by
+    unitriangular elimination.  As N_lam,nu^kappa = N_nu,lam^kappa, only
+    the products with a >= b are computed."""
+    weights = _alcove(n, m)
+    index = {lam: i for i, lam in enumerate(weights)}
+    strips = {}
+
+    def strip(i, k):
+        if (i, k) not in strips:
+            strips[i, k] = [index[nu]
+                            for nu in _add_strip(weights[i], k, n, m)]
+        return strips[i, k]
+
+    table = {(0, 0): {0: 1}}
+
+    def prod(a, b):
+        return table[max(a, b), min(a, b)]
+
+    for a, lam in enumerate(weights[1:], 1):
+        k = sum(1 for x in lam if x)
+        low = index[tuple(max(x - 1, 0) for x in lam)]
+        others = [nu for nu in strip(low, k) if nu != a]
+        for b in range(a + 1):
+            vec = Counter()
+            for c, x in prod(low, b).items():
+                for d in strip(c, k):
+                    vec[d] += x
+            for nu in others:
+                for c, x in prod(nu, b).items():
+                    vec[c] -= x
+            table[a, b] = {c: x for c, x in vec.items() if x}
+    return len(weights), prod
+
+
+def _omega(size, prod):
+    """Omega[mu][kappa] = sum over lam, nu of N_lam,mu^nu N_lam,kappa^nu."""
+    omega = [[0] * size for _ in range(size)]
+    for lam in range(size):
+        columns = {}
+        for mu in range(size):
+            for nu, x in prod(lam, mu).items():
+                columns.setdefault(nu, []).append((mu, x))
+        for column in columns.values():
+            for mu, x in column:
+                for kappa, y in column:
+                    omega[mu][kappa] += x * y
+    return omega
+
+
+def _matmul(a, b):
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def _inverse_trace(omega):
+    """Tr(Omega^-1) by Gauss-Jordan elimination over Q on sparse rows.
+    Omega is positive definite (lam = 0 gives the identity), so every
+    diagonal pivot is nonzero."""
+    size = len(omega)
+    rows = [{**{j: Fraction(x) for j, x in enumerate(r) if x},
+             size + i: Fraction(1)} for i, r in enumerate(omega)]
+    for col, pivot in enumerate(rows):
+        inv = 1 / pivot[col]
+        for j in pivot:
+            pivot[j] *= inv
+        for row in rows:
+            f = row.get(col) if row is not pivot else None
+            if f:
+                for j, x in pivot.items():
+                    value = row.get(j, 0) - f * x
+                    if value:
+                        row[j] = value
+                    else:
+                        del row[j]
+    return sum(row.get(size + i, 0) for i, row in enumerate(rows))
+
+
+def fusion_dimensions(n, m, genera):
+    """{g: Tr(Omega^(g-1))}, with the rational inverse at genus 0."""
+    size, prod = _fusion_product(n, m)
+    omega = _omega(size, prod)
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    out = {}
+    for g in genera:
+        if g == 0:
+            out[g] = _inverse_trace(omega)
+            continue
+        half = identity
+        for _ in range((g - 1) // 2):
+            half = _matmul(half, omega)
+        other = half if (g - 1) % 2 == 0 else _matmul(half, omega)
+        out[g] = sum(half[i][j] * other[j][i]
+                     for i in range(size) for j in range(size))
+    return out
+
+
+def test_fusion_ring_matches_criterion_7_grid():
+    for n in range(2, 6):
+        for m in range(1, 6):
+            expected = fusion_dimensions(n, m, range(4))
+            for g, dim in expected.items():
+                assert verlinde_sl(VerlindeQuery(n, g, m)) == dim, (n, g, m)
+
+
+@pytest.mark.parametrize("n, m", [(2, 9), (3, 7), (6, 3), (7, 2)])
+def test_fusion_ring_beyond_the_grid(n, m):
+    for g, dim in fusion_dimensions(n, m, range(6)).items():
+        assert verlinde_sl(VerlindeQuery(n, g, m)) == dim, (n, g, m)
