@@ -29,8 +29,8 @@ _IRREDUCIBLE = {
 
 Poly = tuple[int, ...]
 
-# The tables are q x q and inverses are found by search, so time and memory
-# grow as q^2: refuse a larger field before building anything.
+# The tables are q x q, so time and memory grow as q^2 (and for q = p^e,
+# e > 1, inverses are found by search): refuse a larger field first.
 _MAX_Q = 1024
 
 
@@ -77,6 +77,13 @@ class GF:
                 + ", ".join(f"{a}^{b}" for a, b in sorted(_IRREDUCIBLE)))
         self.q, self.p, self.e = q, p, e
 
+        if e == 1:
+            self._add = [[(x + y) % p for y in range(q)] for x in range(q)]
+            self._neg = [-x % p for x in range(q)]
+            self._mul = [[x * y % p for y in range(q)] for x in range(q)]
+            self._inv = [0] + [pow(x, p - 2, p) for x in range(1, q)]
+            return
+
         def digits(x: int) -> list[int]:
             out = []
             for _ in range(e):
@@ -94,30 +101,27 @@ class GF:
                                 zip(digits(x), digits(y))])
                       for y in range(q)] for x in range(q)]
         self._neg = [undigits([(-d) % p for d in digits(x)]) for x in range(q)]
-        if e == 1:
-            self._mul = [[(x * y) % p for y in range(q)] for x in range(q)]
-        else:
-            modulus = _IRREDUCIBLE[(p, e)]
-            self._mul = []
-            for x in range(q):
-                row = []
-                dx = digits(x)
-                for y in range(q):
-                    dy = digits(y)
-                    prod = [0] * (2 * e - 1)
-                    for i, a in enumerate(dx):
-                        for j, b in enumerate(dy):
-                            prod[i + j] = (prod[i + j] + a * b) % p
-                    # reduce modulo the defining polynomial
-                    for k in range(2 * e - 2, e - 1, -1):
-                        c = prod[k]
-                        if c:
-                            prod[k] = 0
-                            for i in range(e):
-                                prod[k - e + i] = (prod[k - e + i]
-                                                   - c * modulus[i]) % p
-                    row.append(undigits(prod[:e]))
-                self._mul.append(row)
+        modulus = _IRREDUCIBLE[(p, e)]
+        self._mul = []
+        for x in range(q):
+            row = []
+            dx = digits(x)
+            for y in range(q):
+                dy = digits(y)
+                prod = [0] * (2 * e - 1)
+                for i, a in enumerate(dx):
+                    for j, b in enumerate(dy):
+                        prod[i + j] = (prod[i + j] + a * b) % p
+                # reduce modulo the defining polynomial
+                for k in range(2 * e - 2, e - 1, -1):
+                    c = prod[k]
+                    if c:
+                        prod[k] = 0
+                        for i in range(e):
+                            prod[k - e + i] = (prod[k - e + i]
+                                               - c * modulus[i]) % p
+                row.append(undigits(prod[:e]))
+            self._mul.append(row)
         self._inv = [0] * q
         for x in range(1, q):
             self._inv[x] = next(y for y in range(1, q)
@@ -201,13 +205,6 @@ class PolyRing:
                         out[i + j] = f.add(out[i + j], mrow[y])
         return self.normalize(out)
 
-    def scale(self, c: int, a: Poly) -> Poly:
-        if c == 0:
-            return ()
-        f = self.field
-        mrow = f._mul[c]
-        return self.normalize(tuple(mrow[x] for x in a))
-
     def divmod(self, a: Poly, b: Poly) -> tuple[Poly, Poly]:
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
@@ -223,14 +220,6 @@ class PolyRing:
                 for i, bc in enumerate(b):
                     rem[k - db + i] = f.sub(rem[k - db + i], f.mul(factor, bc))
         return self.normalize(quo), self.normalize(rem)
-
-    def monic(self, a: Poly) -> Poly:
-        if not a or a[-1] == 1:
-            return a
-        return self.scale(self.field.inv(a[-1]), a)
-
-    def is_monomial(self, a: Poly) -> bool:
-        return bool(a) and all(c == 0 for c in a[:-1])
 
     def all_of_degree_below(self, d: int):
         """All polynomials with deg < d, i.e. reduced mod t^d, in lex order."""

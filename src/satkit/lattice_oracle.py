@@ -4,8 +4,10 @@ Lattices in the window t^N L0 <= L <= t^-N L0 are rescaled by t^N so that
 every matrix is over the polynomial ring GF(q)[t]; each lattice is stored
 as its unique column-style Hermite normal form (upper triangular, diagonal
 t^d_i with 0 <= d_i <= 2N, entries right of a pivot reduced modulo it).
-Relative positions come from t-adic valuations of Smith-form diagonals,
-which needs no localization because window quotients are t-power torsion.
+The enumeration generates only the columns that keep t^{2N} L0 inside the
+form, so no candidate is rejected.  Relative positions are Smith valuations
+over GF(q)[[t]], found in GF(q)[t]/(t^P) for a P above every valuation that
+can occur, and their sum is checked against the valuation of the determinant.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ def rewindow(lat: LatticeHNF, N: int) -> LatticeHNF:
 
 def candidate_count(n: int, q: int, N: int) -> int:
     """Size of the search space: reduced triangular forms over every diagonal
-    profile of the window.  It is the budget measure; the column walk of
-    ``enumerate_lattices`` tests far fewer forms."""
+    profile of the window.  It is the budget measure; ``enumerate_lattices``
+    generates only the window lattices among them."""
     total = 1
     for i in range(n):
         cols_right = n - 1 - i
@@ -142,12 +144,14 @@ def enumerate_lattices(n: int, q: int, N: int,
                        ) -> Iterator[LatticeHNF]:
     """Every lattice of the window exactly once, in a deterministic order.
 
-    Iterates diagonal exponent profiles, then fills the reduced entries
-    above the diagonal column by column.  The solve for t^{2N} e_j reads
-    only columns <= j, so a prefix of columns is extended only when its
-    last column passes; the complete forms that pass every column are the
-    forms whose span contains t^{2N} L0 (triangular reduced forms are
-    automatically canonical, but not all of them are window lattices).
+    Iterates diagonal exponent profiles, then generates the entries above
+    the diagonal column by column, only ever producing valid columns: a
+    reduced triangular form is a window lattice exactly when each t^{2N} e_j
+    is H x for a polynomial x, and x_j = t^s with s = 2N - d_j.  Row i < j
+    reads t^{d_i} x_i + acc_i + H[i][j] t^s = 0, where acc_i sums the terms
+    of rows already fixed (solved from j - 1 upward).  So acc_i must vanish
+    below min(s, d_i), the coefficients of H[i][j] below d_i - s are forced
+    to cancel acc_i, the top min(s, d_i) are free, and x_i is a shift.
     """
     if n < 1 or N < 0:
         raise DomainError(f"bad enumeration parameters n={n}, N={N}")
@@ -155,19 +159,35 @@ def enumerate_lattices(n: int, q: int, N: int,
         _check_budget(n, q, N, budget)
         profiles = _profiles(n, N)
     ring = PolyRing(GF(q))
-    t2N = ring.t_power(2 * N)
-    reduced = [list(ring.all_of_degree_below(d)) for d in range(2 * N + 1)]
+    neg = ring.field._neg
+
+    def column(rows: list[list[Poly]], dexp: tuple[int, ...], j: int,
+               x: list[Poly], i: int) -> Iterator[None]:
+        if i < 0:
+            yield
+            return
+        s, d = 2 * N - dexp[j], dexp[i]
+        acc: Poly = ()
+        for k in range(i + 1, j):
+            if x[k]:
+                acc = ring.add(acc, ring.mul(rows[i][k], x[k]))
+        low = min(s, d)
+        if any(acc[:low]):
+            return
+        forced = tuple(neg[c] for c in (acc + (0,) * d)[s:d])
+        for top in itertools.product(range(q), repeat=low):
+            h = ring.normalize(forced + top)
+            rows[i][j] = h
+            x[i] = ring.neg(ring.add(acc, (0,) * s + h)[d:])
+            yield from column(rows, dexp, j, x, i - 1)
 
     def fill(rows: list[list[Poly]], dexp: tuple[int, ...], j: int):
         if j == n:
             yield LatticeHNF(n, q, N, tuple(map(tuple, rows)))
             return
-        rhs = [()] * j + [t2N]
-        for col in itertools.product(*(reduced[d] for d in dexp[:j])):
-            for i, e in enumerate(col):
-                rows[i][j] = e
-            if _solve_column(ring, rows, rhs, j) is not None:
-                yield from fill(rows, dexp, j + 1)
+        x = [()] * j + [ring.t_power(2 * N - dexp[j])]
+        for _ in column(rows, dexp, j, x, j - 1):
+            yield from fill(rows, dexp, j + 1)
 
     for dexp in profiles:
         rows = [[ring.t_power(d) if i == j else () for j in range(n)]
@@ -175,62 +195,56 @@ def enumerate_lattices(n: int, q: int, N: int,
         yield from fill(rows, dexp, 1)
 
 
-def _diag_polys(ring: PolyRing, mat: Sequence[Sequence[Poly]]) -> list[Poly]:
-    """Monic diagonal of a Smith-style diagonalization (no chain condition;
-    the t-valuation multiset already matches the local elementary divisors)."""
-    A = [list(row) for row in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    diags: list[Poly] = []
-    top = 0
-    while top < min(m, n):
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                e = A[i][j]
-                if e and (best is None or len(e) < len(best[2])):
-                    best = (i, j, e)
-        if best is None:
-            break
-        bi, bj, _ = best
-        A[top], A[bi] = A[bi], A[top]
-        if bj != top:
-            for row in A:
-                row[top], row[bj] = row[bj], row[top]
-        while True:
-            piv = A[top][top]
-            dirty = False
-            for i in range(top + 1, m):
-                e = A[i][top]
-                if e:
-                    quo, rem = ring.divmod(e, piv)
-                    if quo:
-                        A[i] = [ring.sub(x, ring.mul(quo, y))
-                                for x, y in zip(A[i], A[top])]
-                    if rem:
-                        A[top], A[i] = A[i], A[top]
-                        dirty = True
+def _local_valuations(field: GF, mat: Sequence[Sequence[Poly]],
+                      P: int) -> Optional[list[int]]:
+    """Valuations of the Smith diagonal of a square matrix over GF(q)[[t]],
+    computed in GF(q)[t]/(t^P); None when a remaining block vanishes mod t^P,
+    that is, when some valuation is >= P (or infinite).
+
+    Each step takes an entry of least valuation v as pivot, inverts its unit
+    part mod t^(P-v), clears its column by row operations and drops its row
+    and column: the rest of the pivot row has valuation >= v, so column
+    operations would clear it without touching the remaining block."""
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    A = [[list(e[:P]) + [0] * (P - len(e)) for e in row] for row in mat]
+    vals = []
+    while A:
+        v, pr, pc = P, 0, 0
+        for r, row in enumerate(A):
+            for c, e in enumerate(row):
+                for k in range(v):
+                    if e[k]:
+                        v, pr, pc = k, r, c
                         break
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                e = A[top][j]
-                if e:
-                    quo, rem = ring.divmod(e, piv)
-                    if quo:
-                        for i2 in range(top, m):
-                            A[i2][j] = ring.sub(A[i2][j],
-                                                ring.mul(quo, A[i2][top]))
-                    if rem:
-                        for row in A:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        diags.append(ring.monic(A[top][top]))
-        top += 1
-    return diags
+        if v == P:
+            return None
+        vals.append(v)
+        prow = A.pop(pr)
+        unit = prow.pop(pc)[v:]
+        # w = -1/unit mod t^(P-v), by the power-series recursion
+        u0 = inv[unit[0]]
+        w = [neg[u0]]
+        for k in range(1, P - v):
+            acc = 0
+            for i in range(1, k + 1):
+                acc = add[acc][mul[unit[i]][w[k - i]]]
+            w.append(mul[neg[acc]][u0])
+        for row in A:
+            b = row.pop(pc)
+            f = [0] * (P - v)
+            for i in range(v, P):
+                if b[i]:
+                    mrow = mul[b[i]]
+                    for k in range(P - i):
+                        f[i - v + k] = add[f[i - v + k]][mrow[w[k]]]
+            for i, fi in enumerate(f):
+                if fi:
+                    mrow = mul[fi]
+                    for e, pe in zip(row, prow):
+                        for k in range(v, P - i):
+                            if pe[k]:
+                                e[i + k] = add[e[i + k]][mrow[pe[k]]]
+    return vals
 
 
 def elementary_divisors(mat: Sequence[Sequence[Sequence[int]]], q: int) -> Vec:
@@ -241,36 +255,32 @@ def elementary_divisors(mat: Sequence[Sequence[Sequence[int]]], q: int) -> Vec:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ShapeError("elementary_divisors expects a square matrix")
-    diags = _diag_polys(ring, rows)
-    if len(diags) < n:
+    # val det <= deg det <= sum of the row degrees, when det != 0
+    vals = _local_valuations(ring.field, rows,
+                             1 + sum(max(map(len, row)) for row in rows))
+    if vals is None:
         raise SingularMatrix("matrix is singular over GF(q)[t]")
-    vals = []
-    for d in diags:
-        v = ring.val(d)
-        assert v is not None
-        vals.append(v)
     return tuple(sorted(vals, reverse=True))
 
 
-def _t_valuations(ring: PolyRing, mat: Sequence[Sequence[Poly]]) -> list[int]:
+def _t_valuations(field: GF, mat: Sequence[Sequence[Poly]], P: int,
+                  det_val: int) -> list[int]:
     """Valuations of the Smith diagonal of a matrix between window lattices,
-    with the purity of the divisors asserted (they are powers of t)."""
-    diags = _diag_polys(ring, mat)
-    if len(diags) < len(mat):
-        raise InternalInconsistency("singular matrix between window lattices")
-    vals = []
-    for d in diags:
-        if not ring.is_monomial(d):
-            raise InternalInconsistency(
-                f"non-t-power divisor {d} between window lattices")
-        vals.append(len(d) - 1)
+    which are all below P; their sum is checked against val det."""
+    vals = _local_valuations(field, mat, P)
+    if vals is None or sum(vals) != det_val:
+        raise InternalInconsistency(
+            f"Smith valuations {vals} between window lattices do not sum "
+            f"to val det = {det_val}")
     return vals
 
 
 def inv_from_standard(lat: LatticeHNF) -> Vec:
     """Relative position inv(L0, lat)."""
-    vals = _t_valuations(PolyRing(GF(lat.q)), lat.mat)
-    return tuple(sorted((v - lat.window for v in vals), reverse=True))
+    N = lat.window
+    vals = _t_valuations(GF(lat.q), lat.mat, 2 * N + 1,
+                         sum(lat.diag_exponents()))
+    return tuple(sorted((v - N for v in vals), reverse=True))
 
 
 def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
@@ -290,7 +300,9 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
         if sol is None:
             raise InternalInconsistency("window solve left a remainder")
         cols.append(sol + [()] * (n - 1 - j))
-    vals = _t_valuations(ring, list(zip(*cols)))
+    det_val = sum(2 * N + b - a for a, b in
+                  zip(lat1.diag_exponents(), lat2.diag_exponents()))
+    vals = _t_valuations(ring.field, list(zip(*cols)), 4 * N + 1, det_val)
     return tuple(sorted((v - 2 * N for v in vals), reverse=True))
 
 

@@ -42,6 +42,12 @@ def test_moduli_are_irreducible():
             assert value != 0, f"modulus for GF({p}^{e}) has root {x}"
 
 
+def test_prime_field_inverses():
+    p = 1021
+    f = GF(p)
+    assert all(f._inv[x] * x % p == 1 for x in range(1, p))
+
+
 def test_unsupported_q():
     with pytest.raises(UnsupportedType):
         GF(6)
@@ -70,8 +76,6 @@ def test_poly_valuation_and_monomial():
     ring = PolyRing(GF(2))
     assert ring.val(()) is None
     assert ring.val((0, 0, 1, 1)) == 2
-    assert ring.is_monomial((0, 0, 1))
-    assert not ring.is_monomial((1, 0, 1))
     assert ring.t_power(3) == (0, 0, 0, 1)
 
 

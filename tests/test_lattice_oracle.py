@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from satkit import lattice_oracle as lo
-from satkit.errors import (DomainError, NonPolynomialCount, ShapeError,
+from satkit.errors import (DomainError, InternalInconsistency,
+                           NonPolynomialCount, ShapeError, SingularMatrix,
                            TooLarge, WindowError)
 from satkit.finite_field import GF, PolyRing
 from satkit.polynomials import QPoly
@@ -155,17 +156,13 @@ def test_column_walk_matches_full_scan(n, q, N):
 
 
 def test_column_walk_prunes(monkeypatch):
-    calls = 0
-    solve = lo._solve_column
+    """The walk generates only valid columns, so it never runs the column
+    solve to test a candidate."""
+    def refuse(*args):
+        raise AssertionError("enumerate_lattices tested a candidate column")
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return solve(*args)
-
-    monkeypatch.setattr(lo, "_solve_column", counted)
+    monkeypatch.setattr(lo, "_solve_column", refuse)
     assert sum(1 for _ in lo.enumerate_lattices(3, 5, 1)) == 2607
-    assert calls < lo.candidate_count(3, 5, 1) // 5
 
 
 def _macdonald_count(mu, q):
@@ -205,7 +202,6 @@ def test_elementary_divisors_basic():
 
 
 def test_elementary_divisors_singular():
-    from satkit.errors import SingularMatrix
     with pytest.raises(SingularMatrix):
         lo.elementary_divisors([[(1,), (1,)], [(1,), (1,)]], 2)
 
@@ -250,6 +246,132 @@ def test_elementary_divisors_unimodular_invariance():
             h = _random_unimodular(ring, n, rng)
             assert lo.elementary_divisors(_matmul(ring, _matmul(ring, g, M),
                                                   h), q) == base
+
+
+# -- an independent route to Smith valuations: determinantal divisors ----------
+
+def _det(ring, M):
+    """Determinant over GF(q)[t] by Laplace expansion along the first row."""
+    if not M:
+        return ring.one
+    acc = ()
+    for c, e in enumerate(M[0]):
+        if e:
+            minor = [row[:c] + row[c + 1:] for row in M[1:]]
+            term = ring.mul(e, _det(ring, minor))
+            acc = ring.sub(acc, term) if c % 2 else ring.add(acc, term)
+    return acc
+
+
+def _divisor_valuations(ring, M):
+    """Smith valuations, decreasing, or None for a singular matrix: the
+    first k valuations sum to the least valuation of a k x k minor."""
+    n = len(M)
+    least = [0]
+    for k in range(1, n + 1):
+        vals = [ring.val(_det(ring, [[M[r][c] for c in cols] for r in rows]))
+                for rows in itertools.combinations(range(n), k)
+                for cols in itertools.combinations(range(n), k)]
+        vals = [v for v in vals if v is not None]
+        if not vals:
+            return None
+        least.append(min(vals))
+    return tuple(sorted((least[k] - least[k - 1] for k in range(1, n + 1)),
+                        reverse=True))
+
+
+def _cofactor(ring, M, r, c):
+    det = _det(ring, [row[:c] + row[c + 1:] for k, row in enumerate(M)
+                      if k != r])
+    return ring.neg(det) if (r + c) % 2 else det
+
+
+def _reference_position(ring, lat1, lat2):
+    """inv(lat1, lat2) from adj(H1) H2 = det(H1) H1^-1 H2."""
+    n = lat1.n
+    adj = [[_cofactor(ring, lat1.mat, j, i) for j in range(n)]
+           for i in range(n)]
+    shift = sum(lat1.diag_exponents())
+    vals = _divisor_valuations(ring, _matmul(ring, adj, lat2.mat))
+    return tuple(v - shift for v in vals)
+
+
+@pytest.mark.parametrize("n,q,N", [(2, 3, 2), (3, 2, 1), (3, 3, 1)])
+def test_inv_from_standard_matches_divisors(n, q, N):
+    ring = PolyRing(GF(q))
+    for lat in lo.enumerate_lattices(n, q, N):
+        ref = tuple(v - N for v in _divisor_valuations(ring, lat.mat))
+        assert lo.inv_from_standard(lat) == ref
+
+
+def test_relative_position_matches_divisors():
+    ring = PolyRing(GF(2))
+    lats = list(lo.enumerate_lattices(2, 2, 2))
+    for l1, l2 in itertools.product(lats, repeat=2):
+        assert lo.relative_position(l1, l2) == \
+            _reference_position(ring, l1, l2)
+    rng = random.Random(11)
+    ring = PolyRing(GF(3))
+    lats = list(lo.enumerate_lattices(3, 3, 1))
+    for _ in range(2000):
+        l1, l2 = rng.choice(lats), rng.choice(lats)
+        assert lo.relative_position(l1, l2) == \
+            _reference_position(ring, l1, l2)
+
+
+def _random_matrix(ring, n, rng, low=0):
+    """Entries of valuation >= low and degree < low + 3."""
+    return [[ring.normalize([0] * low + [rng.randrange(ring.field.q)
+                                         for _ in range(3)])
+             for _ in range(n)] for _ in range(n)]
+
+
+def test_elementary_divisors_match_divisors():
+    rng = random.Random(13)
+    for q in (2, 3, 4, 5):
+        ring = PolyRing(GF(q))
+        for trial in range(30):
+            n, low = rng.choice((2, 3)), 5 if trial % 3 == 0 else 0
+            M = _random_matrix(ring, n, rng, low)
+            g = _random_unimodular(ring, n, rng)
+            h = _random_unimodular(ring, n, rng)
+            for A in (M, _matmul(ring, _matmul(ring, g, M), h)):
+                ref = _divisor_valuations(ring, A)
+                if ref is None:
+                    with pytest.raises(SingularMatrix):
+                        lo.elementary_divisors(A, q)
+                else:
+                    assert lo.elementary_divisors(A, q) == ref
+                    assert min(ref) >= low
+
+
+def test_elementary_divisors_rank_deficient():
+    rng = random.Random(17)
+    for q in (2, 3, 5):
+        ring = PolyRing(GF(q))
+        for _ in range(10):
+            M = _random_matrix(ring, 3, rng)[:2]
+            a, b = (ring.normalize([rng.randrange(q) for _ in range(2)])
+                    for _ in range(2))
+            M.append([ring.add(ring.mul(a, x), ring.mul(b, y))
+                      for x, y in zip(*M)])
+            assert _divisor_valuations(ring, M) is None
+            with pytest.raises(SingularMatrix):
+                lo.elementary_divisors(M, q)
+
+
+def test_valuation_sum_guard(monkeypatch):
+    """A Smith kernel whose valuations miss val det is caught."""
+    lat = lo.t_power_lattice((1, 0, -1), 3, 1)
+    std = lo.standard_lattice(3, 3, 1)
+    monkeypatch.setattr(lo, "_local_valuations", lambda *args: [0, 0, 0])
+    with pytest.raises(InternalInconsistency):
+        lo.inv_from_standard(lat)
+    with pytest.raises(InternalInconsistency):
+        lo.relative_position(std, lat)
+    monkeypatch.setattr(lo, "_local_valuations", lambda *args: None)
+    with pytest.raises(InternalInconsistency):
+        lo.inv_from_standard(lat)
 
 
 def test_relative_position_identity_and_translation():
