@@ -208,7 +208,10 @@ def cmd_oracle(args) -> int:
         rng = random.Random(args.seed)
         payload["selftest"] = _oracle_selftest(n, q, N, rng)
     if args.csv:
-        paths = lo.report_to_csv(report, args.csv)
+        try:
+            paths = lo.report_to_csv(report, args.csv)
+        except OSError as exc:
+            raise DomainError(f"{exc.filename}: {exc.strerror}")
         print("wrote " + ", ".join(paths), file=sys.stderr)
     _emit(payload, f"GL({n}) over F_{q}, window {N}: "
                    f"{sum(r['count'] for r in report['cells'])} lattices in "
@@ -409,6 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact results (a Verlinde dimension) may exceed Python's default limit
+    # on int-to-str digits; lift it for this command only
+    digits_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except TooLarge as exc:
@@ -424,6 +431,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SatkitError as exc:
         print(f"satkit: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(digits_limit)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,20 @@
 """Small finite fields GF(p^e) and dense univariate polynomials over them.
 
 Field elements are integers 0..q-1 encoding coordinate vectors in the
-polynomial basis (base-p digits); arithmetic goes through precomputed
-tables, which is the fastest exact representation at oracle scale.
+polynomial basis (base-p digits).  The field's interface is its four
+precomputed tables ``add``, ``neg``, ``mul`` and ``inv``, indexed by
+elements, which is the fastest exact representation at oracle scale.  For
+q = p^e with e > 1, ``mul`` and ``inv`` are built from the powers of t,
+which is primitive modulo every polynomial in ``_IRREDUCIBLE``.
 Polynomials are coefficient tuples, ascending in t, with no trailing zeros.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import UnsupportedType
+from .errors import InternalInconsistency, UnsupportedType
 
 # Monic irreducible polynomials (ascending coefficients, including the
 # leading 1) defining GF(p^e) for e in {2, 3}; Conway-style fixed choices.
@@ -29,8 +31,8 @@ _IRREDUCIBLE = {
 
 Poly = tuple[int, ...]
 
-# The tables are q x q, so time and memory grow as q^2 (and for q = p^e,
-# e > 1, inverses are found by search): refuse a larger field first.
+# The tables are q x q, so time and memory grow as q^2: refuse a larger
+# field first.
 _MAX_Q = 1024
 
 
@@ -62,7 +64,10 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 @lru_cache(maxsize=16)
 class GF:
     """The finite field with q elements, q = p^e <= 1024, e <= 3.  The
-    class is memoized, so GF(q) builds the tables of each q once."""
+    class is memoized, so GF(q) builds the tables of each q once.
+
+    ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and ``inv[a]`` are the field
+    operations (``inv[0]`` is 0)."""
 
     def __init__(self, q: int) -> None:
         if q < 2:
@@ -78,10 +83,10 @@ class GF:
         self.q, self.p, self.e = q, p, e
 
         if e == 1:
-            self._add = [[(x + y) % p for y in range(q)] for x in range(q)]
-            self._neg = [-x % p for x in range(q)]
-            self._mul = [[x * y % p for y in range(q)] for x in range(q)]
-            self._inv = [0] + [pow(x, p - 2, p) for x in range(1, q)]
+            self.add = [[(x + y) % p for y in range(q)] for x in range(q)]
+            self.neg = [-x % p for x in range(q)]
+            self.mul = [[x * y % p for y in range(q)] for x in range(q)]
+            self.inv = [0] + [pow(x, p - 2, p) for x in range(1, q)]
             return
 
         def digits(x: int) -> list[int]:
@@ -97,52 +102,28 @@ class GF:
                 x = x * p + (d % p)
             return x
 
-        self._add = [[undigits([(a + b) % p for a, b in
-                                zip(digits(x), digits(y))])
-                      for y in range(q)] for x in range(q)]
-        self._neg = [undigits([(-d) % p for d in digits(x)]) for x in range(q)]
+        self.add = [[undigits([a + b for a, b in zip(digits(x), digits(y))])
+                     for y in range(q)] for x in range(q)]
+        self.neg = [undigits([-d for d in digits(x)]) for x in range(q)]
+        # powers[k] = t^k: multiply by t, then use t^e = -(modulus below t^e)
         modulus = _IRREDUCIBLE[(p, e)]
-        self._mul = []
-        for x in range(q):
-            row = []
-            dx = digits(x)
-            for y in range(q):
-                dy = digits(y)
-                prod = [0] * (2 * e - 1)
-                for i, a in enumerate(dx):
-                    for j, b in enumerate(dy):
-                        prod[i + j] = (prod[i + j] + a * b) % p
-                # reduce modulo the defining polynomial
-                for k in range(2 * e - 2, e - 1, -1):
-                    c = prod[k]
-                    if c:
-                        prod[k] = 0
-                        for i in range(e):
-                            prod[k - e + i] = (prod[k - e + i]
-                                               - c * modulus[i]) % p
-                row.append(undigits(prod[:e]))
-            self._mul.append(row)
-        self._inv = [0] * q
-        for x in range(1, q):
-            self._inv[x] = next(y for y in range(1, q)
-                                if self._mul[x][y] == 1)
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF")
-        return self._inv[a]
+        powers = [1]
+        for _ in range(q - 2):
+            ds = digits(powers[-1])
+            top = ds.pop()
+            powers.append(undigits([a - top * m
+                                    for a, m in zip([0] + ds, modulus)]))
+        if sorted(powers) != list(range(1, q)):
+            raise InternalInconsistency(
+                f"t is not primitive modulo {modulus} in GF({q})")
+        log = [0] * q
+        for k, x in enumerate(powers):
+            log[x] = k
+        cyclic = powers * 2
+        self.mul = [[0] * q] + [[0] + [cyclic[log[x] + log[y]]
+                                       for y in range(1, q)]
+                                for x in range(1, q)]
+        self.inv = [0] + [powers[-log[x]] for x in range(1, q)]
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -153,9 +134,7 @@ class PolyRing:
 
     def __init__(self, field: GF):
         self.field = field
-        self.zero: Poly = ()
         self.one: Poly = (1,)
-        self.t: Poly = (0, 1)
 
     def normalize(self, coeffs: Sequence[int]) -> Poly:
         cs = list(coeffs)
@@ -166,28 +145,18 @@ class PolyRing:
     def t_power(self, k: int) -> Poly:
         return (0,) * k + (1,)
 
-    def deg(self, a: Poly) -> int:
-        return len(a) - 1
-
-    def val(self, a: Poly) -> int | None:
-        """t-adic valuation; None for the zero polynomial."""
-        for i, c in enumerate(a):
-            if c:
-                return i
-        return None
-
     def add(self, a: Poly, b: Poly) -> Poly:
         if len(a) < len(b):
             a, b = b, a
-        f = self.field
+        add = self.field.add
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
+            out[i] = add[out[i]][c]
         return self.normalize(out)
 
     def neg(self, a: Poly) -> Poly:
-        f = self.field
-        return tuple(f.neg(c) for c in a)
+        neg = self.field.neg
+        return tuple(neg[c] for c in a)
 
     def sub(self, a: Poly, b: Poly) -> Poly:
         return self.add(a, self.neg(b))
@@ -195,34 +164,12 @@ class PolyRing:
     def mul(self, a: Poly, b: Poly) -> Poly:
         if not a or not b:
             return ()
-        f = self.field
+        add, mul = self.field.add, self.field.mul
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                mrow = f._mul[x]
+                mrow = mul[x]
                 for j, y in enumerate(b):
                     if y:
-                        out[i + j] = f.add(out[i + j], mrow[y])
+                        out[i + j] = add[out[i + j]][mrow[y]]
         return self.normalize(out)
-
-    def divmod(self, a: Poly, b: Poly) -> tuple[Poly, Poly]:
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
-        rem = list(a)
-        db, lead_inv = len(b) - 1, f.inv(b[-1])
-        quo = [0] * max(len(a) - db, 0)
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if c:
-                factor = f.mul(c, lead_inv)
-                quo[k - db] = factor
-                for i, bc in enumerate(b):
-                    rem[k - db + i] = f.sub(rem[k - db + i], f.mul(factor, bc))
-        return self.normalize(quo), self.normalize(rem)
-
-    def all_of_degree_below(self, d: int):
-        """All polynomials with deg < d, i.e. reduced mod t^d, in lex order."""
-        q = self.field.q
-        for coeffs in itertools.product(range(q), repeat=d):
-            yield self.normalize(coeffs)

@@ -159,7 +159,7 @@ def enumerate_lattices(n: int, q: int, N: int,
         _check_budget(n, q, N, budget)
         profiles = _profiles(n, N)
     ring = PolyRing(GF(q))
-    neg = ring.field._neg
+    neg = ring.field.neg
 
     def column(rows: list[list[Poly]], dexp: tuple[int, ...], j: int,
                x: list[Poly], i: int) -> Iterator[None]:
@@ -205,7 +205,7 @@ def _local_valuations(field: GF, mat: Sequence[Sequence[Poly]],
     part mod t^(P-v), clears its column by row operations and drops its row
     and column: the rest of the pivot row has valuation >= v, so column
     operations would clear it without touching the remaining block."""
-    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     A = [[list(e[:P]) + [0] * (P - len(e)) for e in row] for row in mat]
     vals = []
     while A:

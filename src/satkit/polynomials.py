@@ -252,10 +252,6 @@ class Laurent:
                 out[k // 2] = c
         return QPoly(out)
 
-    def eval_q(self, q0: int) -> int:
-        """Evaluate with v^2 = q0; requires all v-powers even and >= 0."""
-        return self.as_qpoly()(q0)
-
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"

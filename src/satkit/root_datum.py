@@ -27,9 +27,6 @@ from .errors import (DomainError, InternalInconsistency, ShapeError,
 
 Vec = tuple[int, ...]
 
-_WEYL_BUDGET = 1_000_000  # refuse to enumerate Weyl groups beyond this order
-
-
 def _vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -80,13 +77,6 @@ class WeylElement:
         for i in self.word:
             mu = self.datum.simple_reflect_coweight(i, mu)
         return mu
-
-    def matrix_on_coweights(self) -> tuple[Vec, ...]:
-        """Rows r_k with (w mu)_k = sum_j r_k[j] mu_j."""
-        n = self.datum.dim
-        cols = [self.act_coweight(tuple(int(i == j) for i in range(n)))
-                for j in range(n)]
-        return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
 
     def __repr__(self) -> str:
         if not self.word:
@@ -240,33 +230,6 @@ class RootDatum:
             frontier = nxt
         return frozenset(seen)
 
-    @lru_cache(maxsize=32)
-    def weyl_group(self) -> list[WeylElement]:
-        """All Weyl group elements with reduced words, by BFS from the
-        identity.  A test reference: production code never calls it."""
-        idmat = tuple(tuple(int(i == j) for j in range(self.dim))
-                      for i in range(self.dim))
-        seen = {idmat: ()}
-        frontier = [(idmat, ())]
-        elements = [WeylElement(self, ())]
-        while frontier:
-            nxt = []
-            for mat, word in frontier:
-                for i in range(self.rank):
-                    # rows are the images of the basis coweights under the
-                    # element, which identifies it uniquely
-                    rows = tuple(self.simple_reflect_coweight(i, row)
-                                 for row in mat)
-                    if rows not in seen:
-                        w = word + (i,)
-                        seen[rows] = w
-                        nxt.append((rows, w))
-                        elements.append(WeylElement(self, w))
-                        if len(elements) > _WEYL_BUDGET:
-                            raise ShapeError("Weyl group too large to enumerate")
-            frontier = nxt
-        return elements
-
     def height2(self, mu: Vec) -> int:
         """<2rho, mu>: twice the dominance height for coroot-lattice elements."""
         return self.pairing(self.two_rho, mu)
@@ -292,15 +255,6 @@ class RootDatum:
                     found.add(lam)
                     stack.append(lam)
         return sorted(found, key=lambda lam: (self.height2(lam), lam))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "rank": self.rank,
-            "simple_roots": [list(a) for a in self.simple_roots],
-            "simple_coroots": [list(a) for a in self.simple_coroots],
-            "two_rho": list(self.two_rho),
-        }
 
     def __repr__(self) -> str:
         return f"RootDatum({self.label})"

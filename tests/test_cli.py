@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from satkit import verlinde as vl
 from satkit.cli import build_parser, clamp_workers, main, run_certification
 
 
@@ -121,6 +122,14 @@ def test_oracle(capsys, tmp_path):
     assert payload["selftest"] == {"divisor_invariance": True,
                                    "duality": True}
     assert (tmp_path / "rep_cells.csv").exists()
+
+
+def test_oracle_csv_unwritable_exits_2(capsys, tmp_path):
+    prefix = tmp_path / "no_such_dir" / "x"
+    code, out, err = run(capsys, "oracle", "--n", "2", "--q", "2",
+                         "--window", "1", "--csv", str(prefix))
+    assert code == 2 and out == ""
+    assert err == f"satkit: {prefix}_cells.csv: No such file or directory\n"
 
 
 def test_oracle_seed_before_or_after_subcommand(capsys):
@@ -249,6 +258,24 @@ def test_verlinde_ade(capsys):
     assert code == 0 and json.loads(out)["dimension"] == 1
     code, out, _ = run(capsys, "verlinde", "--n", "3", "--g", "2", "--m", "1")
     assert code == 0 and json.loads(out)["dimension"] == 9
+
+
+def test_verlinde_values_beyond_int_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    expected = [vl.verlinde_sl(vl.VerlindeQuery(2, 7200, 2)), 2 ** 20000]
+    outs = []
+    for argv in (["--n", "2", "--g", "7200", "--m", "2"],
+                 ["--ade", "A1", "--g", "20000"]):
+        code, out, _ = run(capsys, "verlinde", *argv)
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        outs.append(out)
+    assert all(value > 10 ** 4300 for value in expected)
+    sys.set_int_max_str_digits(0)   # to parse the printed values back
+    try:
+        assert [json.loads(out)["dimension"] for out in outs] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_verlinde_batch(capsys, tmp_path):

@@ -36,7 +36,7 @@ def _in_span(f, rows, pivots, vec):
         c = v[p]
         if c:
             for j in range(len(v)):
-                v[j] = f.sub(v[j], f.mul(c, rows[i][j]))
+                v[j] = f.add[v[j]][f.neg[f.mul[c][rows[i][j]]]]
     return all(x == 0 for x in v)
 
 
@@ -118,7 +118,9 @@ def _full_scan(n, q, N):
     t2N = ring.t_power(2 * N)
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for dexp in itertools.product(range(2 * N + 1), repeat=n):
-        choices = [list(ring.all_of_degree_below(dexp[i])) for i, _ in slots]
+        choices = [[ring.normalize(c)
+                    for c in itertools.product(range(q), repeat=dexp[i])]
+                   for i, _ in slots]
         for combo in itertools.product(*choices):
             rows = [[ring.t_power(dexp[i]) if i == j else ()
                      for j in range(n)] for i in range(n)]
@@ -134,10 +136,25 @@ def _divides_column(ring, rows, t2N, j):
         acc = t2N if i == j else ()
         for k in range(i + 1, j + 1):
             acc = ring.sub(acc, ring.mul(rows[i][k], x[k]))
-        x[i], rem = ring.divmod(acc, rows[i][i])
+        x[i], rem = _poly_divmod(ring, acc, rows[i][i])
         if rem:
             return False
     return True
+
+
+def _poly_divmod(ring, a, b):
+    """Long division of polynomials over GF(q): a = quo * b + rem."""
+    f = ring.field
+    rem = list(a)
+    db, lead_inv = len(b) - 1, f.inv[b[-1]]
+    quo = [0] * max(len(a) - db, 0)
+    for k in range(len(rem) - 1, db - 1, -1):
+        if rem[k]:
+            c = f.mul[rem[k]][lead_inv]
+            quo[k - db] = c
+            for i, bc in enumerate(b):
+                rem[k - db + i] = f.add[rem[k - db + i]][f.neg[f.mul[c][bc]]]
+    return ring.normalize(quo), ring.normalize(rem)
 
 
 WALK_CASES = [(1, 3, 2), (2, 4, 2), (2, 9, 1), (3, 2, 1), (3, 4, 1), (4, 2, 1)]
@@ -263,13 +280,18 @@ def _det(ring, M):
     return acc
 
 
+def _val(a):
+    """t-adic valuation of a polynomial; None for the zero polynomial."""
+    return next((i for i, c in enumerate(a) if c), None)
+
+
 def _divisor_valuations(ring, M):
     """Smith valuations, decreasing, or None for a singular matrix: the
     first k valuations sum to the least valuation of a k x k minor."""
     n = len(M)
     least = [0]
     for k in range(1, n + 1):
-        vals = [ring.val(_det(ring, [[M[r][c] for c in cols] for r in rows]))
+        vals = [_val(_det(ring, [[M[r][c] for c in cols] for r in rows]))
                 for rows in itertools.combinations(range(n), k)
                 for cols in itertools.combinations(range(n), k)]
         vals = [v for v in vals if v is not None]
