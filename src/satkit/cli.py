@@ -26,7 +26,8 @@ from . import weyl_rep as wr
 from .errors import (DomainError, IntegralityFailure, InternalInconsistency,
                      NonPolynomialCount, SatkitError, ShapeError, TooLarge,
                      UnsupportedType)
-from .root_datum import RootDatum, Vec, dominant_coweights_in_box, make_root_datum
+from .root_datum import (Dominance, RootDatum, Vec, dominant_coweights_in_box,
+                         make_root_datum)
 
 SCHEMA = "satkit/1"
 
@@ -92,11 +93,11 @@ def cmd_qanalog(args) -> int:
     payload = {"schema": SCHEMA, "datum": datum.label,
                "mu": list(mu), "lambda": list(lam),
                "m_poly": _qpoly_json(m)}
-    if m.is_zero and datum.coroot_coordinates(
-            tuple(a - b for a, b in zip(mu, lam))) is None:
+    order = datum.dominance_leq(lam, mu)
+    if order is Dominance.INCOMPARABLE_COMPONENTS:
         payload["a_poly"] = []
         payload["note"] = "component mismatch"
-    elif datum.leq(lam, mu):
+    elif order is Dominance.LE:
         payload["a_poly"] = _qpoly_json(wr.ic_stalk_polynomial(datum, mu, lam))
     else:
         payload["a_poly"] = None
@@ -222,7 +223,7 @@ def cmd_oracle(args) -> int:
 
 
 def run_certification(n: int, q_list: Sequence[int], coord_min: int,
-                      coord_max: int, budget: Optional[int] = None) -> dict:
+                      coord_max: int) -> dict:
     """Compare symbolic convolution against brute lattice counts for every
     dominant pair in the coordinate box and every admissible nu."""
     if coord_min > coord_max:
@@ -240,7 +241,7 @@ def run_certification(n: int, q_list: Sequence[int], coord_min: int,
             values = hs.evaluate_at(datum, product, q)
             for nu in admissible:
                 sym = values.get(nu, 0)
-                brute = lo.brute_convolution(lam, mu, nu, q, budget=budget)
+                brute = lo.brute_convolution(lam, mu, nu, q)
                 match = sym == brute
                 all_match = all_match and match
                 rows.append({"lambda": list(lam), "mu": list(mu),
@@ -294,6 +295,12 @@ def _batch_queries(path: str) -> list[vl.VerlindeQuery]:
     return queries
 
 
+def _digits(value: int) -> str:
+    """value for a stderr summary: itself up to 80 digits, else its length."""
+    text = str(value)
+    return text if len(text) <= 80 else f"<{len(text)} digits>"
+
+
 # the flags each verlinde mode may combine
 _VERLINDE_MODES = ({"--batch"}, {"--ade", "--g"}, {"--n", "--g", "--m"})
 
@@ -321,13 +328,13 @@ def cmd_verlinde(args) -> int:
         dim = vl.level_one_ade(args.ade, args.g)
         _emit({"schema": SCHEMA, "type": args.ade, "g": args.g,
                "dimension": dim},
-              f"level-one {args.ade}, genus {args.g}: {dim}")
+              f"level-one {args.ade}, genus {args.g}: {_digits(dim)}")
         return 0
     if args.n is None or args.g is None or args.m is None:
         raise DomainError("need --n, --g and --m (or --ade/--batch)")
     report = vl.verlinde_sl_report(vl.VerlindeQuery(args.n, args.g, args.m))
     report["schema"] = SCHEMA
-    _emit(report, f"dim = {report['dimension']} "
+    _emit(report, f"dim = {_digits(report['dimension'])} "
                   f"(residual {report['residual']:.2e})")
     return 0
 

@@ -55,17 +55,6 @@ class _Span:
             out[mu] = out.get(mu, Laurent.ZERO) + c
         return type(self)(self.datum, out)
 
-    def __sub__(self, other: "_Span"):
-        out = dict(self.coeffs)
-        for mu, c in other.coeffs.items():
-            out[mu] = out.get(mu, Laurent.ZERO) - c
-        return type(self)(self.datum, out)
-
-    def scale(self, c: "Laurent | int"):
-        if not isinstance(c, Laurent):
-            c = Laurent.from_int(c)
-        return type(self)(self.datum, {mu: x * c for mu, x in self.coeffs.items()})
-
     def to_json(self) -> list[dict]:
         return [{"coweight": list(mu),
                  "v_low": self.coeffs[mu].low,

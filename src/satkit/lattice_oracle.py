@@ -16,6 +16,7 @@ import csv
 import itertools
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,7 @@ from .errors import (DomainError, InternalInconsistency, NonPolynomialCount,
                      ShapeError, SingularMatrix, TooLarge, WindowError)
 from .finite_field import GF, Poly, PolyRing
 from .polynomials import QPoly
-from .root_datum import Vec, make_root_datum
+from .root_datum import Vec, dominant_coweights_in_box, make_root_datum
 
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV = "SATKIT_BUDGET"
@@ -33,13 +34,9 @@ BUDGET_ENV = "SATKIT_BUDGET"
 Matrix = tuple[tuple[Poly, ...], ...]
 
 
-def enumeration_budget(explicit: Optional[int] = None) -> int:
-    """The cap on candidate forms: ``explicit``, else SATKIT_BUDGET, else
-    DEFAULT_BUDGET.  A negative or non-integer value is a DomainError."""
-    if explicit is not None:
-        if explicit < 0:
-            raise DomainError(f"budget={explicit} must be >= 0")
-        return explicit
+def enumeration_budget() -> int:
+    """The only cap on candidate forms: SATKIT_BUDGET, else DEFAULT_BUDGET.
+    A negative or non-integer value is a DomainError."""
     raw = os.environ.get(BUDGET_ENV, "").strip()
     if not raw:
         return DEFAULT_BUDGET
@@ -63,21 +60,17 @@ class LatticeHNF:
         return tuple(len(self.mat[i][i]) - 1 for i in range(self.n))
 
 
-def standard_lattice(n: int, q: int, N: int) -> LatticeHNF:
-    ring = PolyRing(GF(q))
-    tN = ring.t_power(N)
-    rows = tuple(tuple(tN if i == j else () for j in range(n))
-                 for i in range(n))
-    return LatticeHNF(n, q, N, rows)
+def _shift(e: Poly, k: int) -> Poly:
+    """e * t^k, a shift of the coefficients."""
+    return (0,) * k + e if e else ()
 
 
 def t_power_lattice(mu: Vec, q: int, N: int) -> LatticeHNF:
     """The lattice t^mu L0, rescaled into the window."""
     if any(abs(m) > N for m in mu):
         raise WindowError(f"t^{mu} does not fit in window N={N}")
-    ring = PolyRing(GF(q))
     n = len(mu)
-    rows = tuple(tuple(ring.t_power(N + mu[i]) if i == j else ()
+    rows = tuple(tuple(_shift((1,), N + mu[i]) if i == j else ()
                        for j in range(n)) for i in range(n))
     return LatticeHNF(n, q, N, rows)
 
@@ -88,9 +81,8 @@ def rewindow(lat: LatticeHNF, N: int) -> LatticeHNF:
         raise WindowError("can only grow the window")
     if N == lat.window:
         return lat
-    ring = PolyRing(GF(lat.q))
-    shift = ring.t_power(N - lat.window)
-    rows = tuple(tuple(ring.mul(shift, e) for e in row) for row in lat.mat)
+    k = N - lat.window
+    rows = tuple(tuple(_shift(e, k) for e in row) for row in lat.mat)
     return LatticeHNF(lat.n, lat.q, N, rows)
 
 
@@ -105,9 +97,9 @@ def candidate_count(n: int, q: int, N: int) -> int:
     return total
 
 
-def _check_budget(n: int, q: int, N: int, budget: Optional[int]) -> None:
+def _check_budget(n: int, q: int, N: int) -> None:
     """Raise TooLarge when the window's candidate forms exceed the budget."""
-    cap = enumeration_budget(budget)
+    cap = enumeration_budget()
     est = candidate_count(n, q, N)
     if est > cap:
         raise TooLarge(f"{est} candidate forms exceed budget {cap}")
@@ -139,7 +131,6 @@ def _profiles(n: int, N: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_lattices(n: int, q: int, N: int,
-                       budget: Optional[int] = None,
                        profiles: Optional[Iterable[tuple[int, ...]]] = None,
                        ) -> Iterator[LatticeHNF]:
     """Every lattice of the window exactly once, in a deterministic order.
@@ -156,7 +147,7 @@ def enumerate_lattices(n: int, q: int, N: int,
     if n < 1 or N < 0:
         raise DomainError(f"bad enumeration parameters n={n}, N={N}")
     if profiles is None:
-        _check_budget(n, q, N, budget)
+        _check_budget(n, q, N)
         profiles = _profiles(n, N)
     ring = PolyRing(GF(q))
     neg = ring.field.neg
@@ -292,10 +283,9 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
     ring = PolyRing(GF(lat1.q))
     # Solve H1 X = t^{2N} H2; X is polynomial because t^{2N} L0 <= lat1,
     # and upper triangular because H1 and H2 are.
-    t2N = ring.t_power(2 * N)
     cols = []
     for j in range(n):
-        rhs = [ring.mul(t2N, lat2.mat[i][j]) for i in range(j + 1)]
+        rhs = [_shift(lat2.mat[i][j], 2 * N) for i in range(j + 1)]
         sol = _solve_column(ring, lat1.mat, rhs, j)
         if sol is None:
             raise InternalInconsistency("window solve left a remainder")
@@ -306,26 +296,15 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
     return tuple(sorted((v - 2 * N for v in vals), reverse=True))
 
 
-def _require_dominant_gl(mu: Vec, name: str = "mu") -> None:
-    """GL(n) dominance without a RootDatum: count_cell and brute_convolution
-    take bare coweights and have no datum to call require_dominant on."""
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise DomainError(f"{name}={mu} is not dominant for GL({len(mu)})")
-
-
-def _census_chunk(args) -> dict[Vec, int]:
+def _census_chunk(args) -> Counter:
     n, q, N, chunk = args
-    counts: dict[Vec, int] = {}
-    for lat in enumerate_lattices(n, q, N, profiles=chunk):
-        inv = inv_from_standard(lat)
-        counts[inv] = counts.get(inv, 0) + 1
-    return counts
+    return Counter(map(inv_from_standard,
+                       enumerate_lattices(n, q, N, profiles=chunk)))
 
 
-def cell_census(n: int, q: int, N: int, budget: Optional[int] = None,
-                workers: int = 1) -> dict[Vec, int]:
+def cell_census(n: int, q: int, N: int, workers: int = 1) -> dict[Vec, int]:
     """Counts of every relative position inv(L0, .) over the whole window."""
-    _check_budget(n, q, N, budget)
+    _check_budget(n, q, N)
     if workers > 1:
         profs = list(_profiles(n, N))
         chunk_size = max(1, len(profs) // (4 * workers))
@@ -333,21 +312,16 @@ def cell_census(n: int, q: int, N: int, budget: Optional[int] = None,
                   for i in range(0, len(profs), chunk_size)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_census_chunk, [(n, q, N, ch) for ch in chunks])
-        counts: dict[Vec, int] = {}
-        for part in parts:
-            for inv, c in part.items():
-                counts[inv] = counts.get(inv, 0) + c
-        return counts
+        return sum(parts, Counter())
     return _census_chunk((n, q, N, _profiles(n, N)))
 
 
-def count_cell(mu: Vec, q: int, N: int, budget: Optional[int] = None,
-               workers: int = 1) -> int:
+def count_cell(mu: Vec, q: int, N: int, workers: int = 1) -> int:
     """Number of lattices at relative position exactly mu from L0."""
-    _require_dominant_gl(mu)
+    make_root_datum(f"GL({len(mu)})").require_dominant(mu)
     if any(abs(m) > N for m in mu):
         raise WindowError(f"window N={N} does not contain the mu={mu} cell")
-    return cell_census(len(mu), q, N, budget=budget, workers=workers).get(mu, 0)
+    return cell_census(len(mu), q, N, workers=workers).get(mu, 0)
 
 
 @lru_cache(maxsize=64)
@@ -360,38 +334,33 @@ def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
     return {lam: tuple(lats) for lam, lats in cells.items()}
 
 
-def _cell_members(n: int, q: int, lam: Vec) -> tuple[LatticeHNF, ...]:
-    """All lattices with inv(L0, .) = lam, enumerated in the tight window."""
-    N = max((abs(x) for x in lam), default=0)
-    return _window_cells(n, q, N).get(lam, ())
-
-
 @lru_cache(maxsize=4096)
 def _convolution_histogram(n: int, q: int, lam: Vec, nu: Vec) -> dict:
-    """For fixed lam, nu: counts of inv(L', t^nu L0) over the lam-cell."""
-    N = max(max((abs(x) for x in lam), default=0),
-            max((abs(x) for x in nu), default=0))
+    """For fixed lam, nu: counts of inv(L', t^nu L0) over the lam-cell,
+    whose members are enumerated in lam's tight window."""
+    tight = max((abs(x) for x in lam), default=0)
+    N = max(tight, max((abs(x) for x in nu), default=0))
     target = t_power_lattice(nu, q, N)
     counts: dict[Vec, int] = {}
-    for lat in _cell_members(n, q, lam):
+    for lat in _window_cells(n, q, tight).get(lam, ()):
         pos = relative_position(rewindow(lat, N), target)
         counts[pos] = counts.get(pos, 0) + 1
     return counts
 
 
-def brute_convolution(lam: Vec, mu: Vec, nu: Vec, q: int,
-                      budget: Optional[int] = None) -> int:
+def brute_convolution(lam: Vec, mu: Vec, nu: Vec, q: int) -> int:
     """Number of lattices L' with inv(L0, L') = lam and inv(L', t^nu L0) = mu,
     which is the value of the convolution c_lam * c_mu at t^nu."""
     if not (len(lam) == len(mu) == len(nu)):
         raise ShapeError("lam, mu, nu must have equal length")
-    _require_dominant_gl(lam, "lam")
-    _require_dominant_gl(mu, "mu")
-    _require_dominant_gl(nu, "nu")
+    n = len(lam)
+    datum = make_root_datum(f"GL({n})")
+    datum.require_dominant(lam, "lam")
+    datum.require_dominant(mu, "mu")
+    datum.require_dominant(nu, "nu")
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    n = len(lam)
-    _check_budget(n, q, max((abs(x) for x in lam), default=0), budget)
+    _check_budget(n, q, max((abs(x) for x in lam), default=0))
     return _convolution_histogram(n, q, lam, nu).get(mu, 0)
 
 
@@ -439,19 +408,18 @@ def interpolate_count(counter: Callable[[int], int],
 # -- reports ------------------------------------------------------------------
 
 def oracle_report(n: int, q: int, N: int, conv_bound: Optional[int] = None,
-                  budget: Optional[int] = None, workers: int = 1) -> dict:
+                  workers: int = 1) -> dict:
     """Machine-readable census of cells (and optionally convolutions) for
     one (n, q, N)."""
     if conv_bound is not None and conv_bound < 0:
         raise DomainError(f"conv_bound={conv_bound} must be >= 0: "
                           "the convolution box is empty")
-    census = cell_census(n, q, N, budget=budget, workers=workers)
+    census = cell_census(n, q, N, workers=workers)
     cells = [{"mu": list(mu), "count": census[mu]}
              for mu in sorted(census, reverse=True)]
     convolutions = []
     if conv_bound is not None:
         datum = make_root_datum(f"GL({n})")
-        from .root_datum import dominant_coweights_in_box
         doms = list(dominant_coweights_in_box(datum, -conv_bound, conv_bound))
         for lam in doms:
             for mu in doms:
@@ -459,8 +427,7 @@ def oracle_report(n: int, q: int, N: int, conv_bound: Optional[int] = None,
                 for nu in datum.dominant_below(total):
                     convolutions.append({
                         "lambda": list(lam), "mu": list(mu), "nu": list(nu),
-                        "count": brute_convolution(lam, mu, nu, q,
-                                                   budget=budget)})
+                        "count": brute_convolution(lam, mu, nu, q)})
     return {"n": n, "q": q, "N": N, "cells": cells,
             "convolutions": convolutions}
 

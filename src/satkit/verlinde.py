@@ -17,11 +17,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .errors import DomainError, IntegralityFailure, TooLarge, UnsupportedType
 
 SUBSET_BUDGET = 1_000_000
+# cap on _sum_work; a unit took about 1 ns on a 2-CPU x86-64 host, Python 3.11
+SUM_WORK_BUDGET = 10_000_000_000
 TOLERANCE = 1e-6
 
 # center orders of the simply connected ADE groups
@@ -60,6 +62,18 @@ def _histograms(n: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(counts.items())
 
 
+def _sum_work(n: int, h: int, g: int) -> int:
+    """An upper estimate of the sum's work in machine words: per histogram,
+    E multiplications by 1 - zeta^k, each updating h coefficients of at most
+    E bits, plus a fixed 64 per update.  Histograms are rotation invariant,
+    so Burnside's count of the rotation classes of n-subsets bounds them."""
+    e = gcd(h, n)
+    classes = sum(comb(h // d, n // d) * sum(gcd(k, d) == 1 for k in range(d))
+                  for d in range(1, e + 1) if e % d == 0) // h
+    E = n * (n - 1) if g == 0 else abs(g - 1) * n * (h - n)
+    return classes * h * E * (64 + E // 64)
+
+
 def _cyclotomic(N: int) -> list[int]:
     """Phi_N, constant term first: the power series of the product of
     (1 - x^(N/e))^mu(e) over the squarefree divisors e of N."""
@@ -90,6 +104,10 @@ def verlinde_sl_report(query: VerlindeQuery, tol: float = TOLERANCE) -> dict:
     if comb(n + m, n) > SUBSET_BUDGET:
         raise TooLarge(f"binomial({n + m},{n}) subsets "
                        f"exceed budget {SUBSET_BUDGET}")
+    work = _sum_work(n, n + m, g)
+    if work > SUM_WORK_BUDGET:
+        raise TooLarge(f"sum work estimate {work} exceeds budget "
+                       f"{SUM_WORK_BUDGET}")
     if not tol > 0.0:
         raise IntegralityFailure(f"residual 0.0 is not below tol={tol}")
     h = n + m

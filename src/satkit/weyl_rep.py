@@ -21,6 +21,7 @@ from .polynomials import QPoly
 from .root_datum import RootDatum, Vec, _vadd, _vscale, _vsub
 
 _AMBIENT_WORD_BUDGET = 5_000_000  # n^d guard for the explicit construction
+_BK_DIM_CAP = 3000  # largest dim L_mu that bk_oracle builds explicitly
 
 
 def _form(datum: RootDatum, x: Vec, y: Vec) -> int:
@@ -399,7 +400,7 @@ def _to_partition_pair(datum: RootDatum, mu: Vec, lam: Vec):
     return n, mu_p, lam_p
 
 
-def bk_oracle(datum: RootDatum, mu: Vec, lam: Vec, dim_cap: int = 3000) -> QPoly:
+def bk_oracle(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
     """Graded multiplicity of lam in L_mu under the filtration by kernels of
     powers of the principal nilpotent, from an explicit type-A module.
 
@@ -413,8 +414,8 @@ def bk_oracle(datum: RootDatum, mu: Vec, lam: Vec, dim_cap: int = 3000) -> QPoly
         return QPoly.ZERO
     n, mu_p, lam_p = pair
     d = dim_rep(datum, mu)
-    if d > dim_cap:
-        raise TooLarge(f"dim L_mu = {d} exceeds cap {dim_cap}")
+    if d > _BK_DIM_CAP:
+        raise TooLarge(f"dim L_mu = {d} exceeds cap {_BK_DIM_CAP}")
     if any(x < 0 for x in lam_p):
         return QPoly.ZERO
     module = _explicit_module(n, mu_p)

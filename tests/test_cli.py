@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -205,8 +206,8 @@ def test_certify_mismatch_exits_1(capsys, monkeypatch):
 
     real = cli_mod.lo.brute_convolution
 
-    def corrupted(lam, mu, nu, q, budget=None):
-        return real(lam, mu, nu, q, budget=budget) + 1
+    def corrupted(lam, mu, nu, q):
+        return real(lam, mu, nu, q) + 1
 
     monkeypatch.setattr(cli_mod.lo, "brute_convolution", corrupted)
     code, out, _ = run(capsys, "certify", "--n", "2", "--q", "2",
@@ -276,6 +277,31 @@ def test_verlinde_values_beyond_int_str_digit_limit(capsys):
         assert [json.loads(out)["dimension"] for out in outs] == expected
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_verlinde_summary_gives_length_of_long_values(capsys):
+    # 2**265 has 80 digits and 2**266 has 81
+    for argv, summary in [
+            (["--ade", "A1", "--g", "265"],
+             f"level-one A1, genus 265: {2 ** 265}"),
+            (["--ade", "A1", "--g", "266"],
+             "level-one A1, genus 266: <81 digits>"),
+            (["--n", "3", "--g", "2", "--m", "3"],
+             "dim = 166 (residual 0.00e+00)"),
+            (["--n", "2", "--g", "7200", "--m", "2"],
+             "dim = <4335 digits> (residual 0.00e+00)")]:
+        code, _, err = run(capsys, "verlinde", *argv)
+        assert code == 0 and err == summary + "\n"
+
+
+@pytest.mark.parametrize("argv", [["--n", "2", "--g", "200000", "--m", "2"],
+                                  ["--n", "2", "--g", "2", "--m", "1412"]])
+def test_verlinde_sum_work_exits_3(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verlinde", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "sum work" in err and len(err.strip().splitlines()) == 1
 
 
 def test_verlinde_batch(capsys, tmp_path):

@@ -88,19 +88,23 @@ def test_t_power_lattices_are_enumerated():
         lo.t_power_lattice((2, 0), 2, 1)
 
 
-def test_budget_enforced():
+def test_budget_enforced(monkeypatch):
+    monkeypatch.setenv(lo.BUDGET_ENV, "100")
     with pytest.raises(TooLarge):
-        list(lo.enumerate_lattices(3, 5, 3, budget=100))
+        list(lo.enumerate_lattices(3, 5, 3))
     with pytest.raises(TooLarge):
-        lo.count_cell((1, 0, 0), 5, 3, budget=100)
+        lo.count_cell((1, 0, 0), 5, 3)
+    monkeypatch.setenv(lo.BUDGET_ENV, "-1")
     with pytest.raises(DomainError):
-        list(lo.enumerate_lattices(2, 2, 1, budget=-1))
+        list(lo.enumerate_lattices(2, 2, 1))
+    with pytest.raises(DomainError):
+        lo.brute_convolution((1, 0), (1, 0), (1, 1), 2)
     # the lam-cell is enumerated in its tight window N=1: 21 forms at q=2
+    monkeypatch.setenv(lo.BUDGET_ENV, "20")
     with pytest.raises(TooLarge):
-        lo.brute_convolution((1, 0), (1, 0), (1, 1), 2, budget=20)
-    with pytest.raises(DomainError):
-        lo.brute_convolution((1, 0), (1, 0), (1, 1), 2, budget=-1)
-    assert lo.brute_convolution((1, 0), (1, 0), (1, 1), 2, budget=21) == 3
+        lo.brute_convolution((1, 0), (1, 0), (1, 1), 2)
+    monkeypatch.setenv(lo.BUDGET_ENV, "21")
+    assert lo.brute_convolution((1, 0), (1, 0), (1, 1), 2) == 3
 
 
 def test_budget_env_var(monkeypatch):
@@ -385,7 +389,7 @@ def test_elementary_divisors_rank_deficient():
 def test_valuation_sum_guard(monkeypatch):
     """A Smith kernel whose valuations miss val det is caught."""
     lat = lo.t_power_lattice((1, 0, -1), 3, 1)
-    std = lo.standard_lattice(3, 3, 1)
+    std = lo.t_power_lattice((0, 0, 0), 3, 1)
     monkeypatch.setattr(lo, "_local_valuations", lambda *args: [0, 0, 0])
     with pytest.raises(InternalInconsistency):
         lo.inv_from_standard(lat)
@@ -399,7 +403,7 @@ def test_valuation_sum_guard(monkeypatch):
 def test_relative_position_identity_and_translation():
     for lat in lo.enumerate_lattices(2, 2, 1):
         assert lo.relative_position(lat, lat) == (0, 0)
-    std = lo.standard_lattice(2, 3, 2)
+    std = lo.t_power_lattice((0, 0), 3, 2)
     for mu in [(1, 0), (2, -1), (0, -2), (1, 1)]:
         target = lo.t_power_lattice(mu, 3, 2)
         assert lo.relative_position(std, target) == \
@@ -417,12 +421,12 @@ def test_relative_position_duality():
 
 
 def test_relative_position_window_mismatch():
-    a = lo.standard_lattice(2, 2, 1)
-    b = lo.standard_lattice(2, 2, 2)
+    a = lo.t_power_lattice((0, 0), 2, 1)
+    b = lo.t_power_lattice((0, 0), 2, 2)
     with pytest.raises(ShapeError):
         lo.relative_position(a, b)
     with pytest.raises(ShapeError):
-        lo.relative_position(a, lo.standard_lattice(3, 2, 1))
+        lo.relative_position(a, lo.t_power_lattice((0, 0, 0), 2, 1))
 
 
 def test_rewindow_preserves_position():

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from satkit.errors import DomainError, TooLarge, UnsupportedType
-from satkit.verlinde import (VerlindeQuery, genus_one_dimension,
-                             level_one_ade, verlinde_sl, verlinde_sl_report)
+from satkit.verlinde import (VerlindeQuery, _histograms, _sum_work,
+                             genus_one_dimension, level_one_ade, verlinde_sl,
+                             verlinde_sl_report)
 
 
 def test_frozen_values():
@@ -89,6 +90,26 @@ def test_query_validation():
 def test_subset_budget():
     with pytest.raises(TooLarge):
         verlinde_sl(VerlindeQuery(30, 1, 30))
+
+
+def test_sum_work_budget():
+    # both pass the subset budget; the sums would take minutes
+    for query in [VerlindeQuery(2, 200000, 2), VerlindeQuery(2, 2, 1412)]:
+        with pytest.raises(TooLarge, match="sum work"):
+            verlinde_sl(query)
+    assert verlinde_sl(VerlindeQuery(2, 7200, 2)) % 2 == 0
+
+
+def test_sum_work_bounds_the_updates():
+    """The estimate counts at least one update of h coefficients per actual
+    histogram and multiplication, at the weight the estimate gives each."""
+    for n, m in [(2, 2), (2, 7), (3, 3), (4, 4), (4, 6), (6, 6), (7, 3)]:
+        h = n + m
+        for g in (0, 2, 5):
+            E = n * (n - 1) if g == 0 else (g - 1) * n * (h - n)
+            actual = len(_histograms(n, m)) * h * E * (64 + E // 64)
+            assert actual <= _sum_work(n, h, g), (n, m, g)
+        assert _sum_work(n, h, 1) == 0
 
 
 # The fusion-ring route (Beauville, "Conformal blocks, fusion rules and the

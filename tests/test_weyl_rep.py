@@ -262,8 +262,9 @@ def test_bk_oracle_rejects_non_type_a():
 
 
 def test_bk_oracle_size_cap():
+    # dim L_(80,0,0) = binomial(82, 2) = 3321 is above the cap of 3000
     with pytest.raises(TooLarge):
-        wr.bk_oracle(GL2, (80, 0), (40, 40), dim_cap=50)
+        wr.bk_oracle(GL3, (80, 0, 0), (40, 40, 0))
 
 
 def test_bk_oracle_coset_mismatch_is_zero():
