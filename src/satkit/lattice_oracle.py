@@ -6,8 +6,12 @@ as its unique column-style Hermite normal form (upper triangular, diagonal
 t^d_i with 0 <= d_i <= 2N, entries right of a pivot reduced modulo it).
 The enumeration generates only the columns that keep t^{2N} L0 inside the
 form, so no candidate is rejected.  Relative positions are Smith valuations
-over GF(q)[[t]], found in GF(q)[t]/(t^P) for a P above every valuation that
-can occur, and their sum is checked against the valuation of the determinant.
+over GF(q)[[t]].  For a window lattice of rank n <= 3 they are read off its
+Hermite form: the first k valuations sum to the least valuation of a k x k
+minor, and they must form a divisor chain.  At rank >= 4, and in
+``relative_position`` and ``elementary_divisors``, one local kernel finds
+them in GF(q)[t]/(t^P) for a P above every valuation that can occur, and
+their sum is checked against the valuation of the determinant.
 """
 
 from __future__ import annotations
@@ -240,8 +244,14 @@ def _local_valuations(field: GF, mat: Sequence[Sequence[Poly]],
 
 def elementary_divisors(mat: Sequence[Sequence[Sequence[int]]], q: int) -> Vec:
     """t-adic valuations of the Smith diagonal, sorted decreasingly, as a
-    dominant GL(n) coweight.  ``mat`` holds ascending coefficient sequences."""
+    dominant GL(n) coweight.  ``mat`` holds ascending coefficient sequences
+    of GF(q) elements, the integers 0..q-1."""
     ring = PolyRing(GF(q))
+    bad = [c for row in mat for e in row for c in e
+           if not (isinstance(c, int) and 0 <= c < q)]
+    if bad:
+        raise DomainError(f"coefficient {bad[0]!r} is not an element of "
+                          f"GF({q}), encoded as 0..{q - 1}")
     rows = [[ring.normalize(e) for e in row] for row in mat]
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -266,9 +276,58 @@ def _t_valuations(field: GF, mat: Sequence[Sequence[Poly]], P: int,
     return vals
 
 
+def _val(h: Poly, absent: int) -> int:
+    """t-adic valuation of h, or ``absent`` when h = 0."""
+    for i, c in enumerate(h):
+        if c:
+            return i
+    return absent
+
+
+def _hermite_divisors(lat: LatticeHNF) -> list[int]:
+    """val Δ_1, ..., val Δ_n for a window lattice of rank n <= 3, where Δ_k
+    is the least valuation of a k x k minor of its Hermite form.
+
+    The diagonal is t^{d_i}, so every minor but h01 h12 - t^{d1} h02 is a
+    monomial times at most one entry.  A zero entry counts as valuation
+    Σd, which is never below the true least value.  The product is formed
+    only when its two terms tie below every other 2 x 2 minor, which is the
+    one case where they can cancel into the least value."""
+    mat, d = lat.mat, lat.diag_exponents()
+    if lat.n < 2:
+        return list(d)
+    total = sum(d)
+    h01 = mat[0][1]
+    v01 = _val(h01, total)
+    if lat.n == 2:
+        return [min(d[0], d[1], v01), total]
+    h02, h12 = mat[0][2], mat[1][2]
+    v02, v12 = _val(h02, total), _val(h12, total)
+    d0, d1, d2 = d
+    rest = min(d0 + d1, d0 + v12, d0 + d2, v01 + d2, d1 + d2)
+    cross = min(v01 + v12, d1 + v02)
+    if v01 + v12 == d1 + v02 < rest:
+        ring = PolyRing(GF(lat.q))
+        cross = _val(ring.sub(ring.mul(h01, h12), _shift(h02, d1)), total)
+    return [min(d0, d1, d2, v01, v02, v12), min(rest, cross), total]
+
+
 def inv_from_standard(lat: LatticeHNF) -> Vec:
-    """Relative position inv(L0, lat)."""
+    """Relative position inv(L0, lat).
+
+    At rank n <= 3 the Smith valuations are the successive differences of
+    the determinantal divisors, read off the Hermite form, and they must
+    form a divisor chain (be non-decreasing).  At rank >= 4 they come from
+    the local kernel, checked against val det."""
     N = lat.window
+    if lat.n <= 3:
+        least = _hermite_divisors(lat)
+        pos = [b - a - N for a, b in zip([0] + least, least)]
+        if pos != sorted(pos):
+            raise InternalInconsistency(
+                f"determinantal divisors {least} of a window lattice do "
+                f"not give a divisor chain")
+        return tuple(reversed(pos))
     vals = _t_valuations(GF(lat.q), lat.mat, 2 * N + 1,
                          sum(lat.diag_exponents()))
     return tuple(sorted((v - N for v in vals), reverse=True))

@@ -222,6 +222,14 @@ def test_elementary_divisors_basic():
         [[(), (0, 1)], [(0, 0, 0, 1), ()]], 2) == (3, 1)
 
 
+def test_elementary_divisors_bad_coefficient():
+    for coeff in (5, -1):
+        with pytest.raises(DomainError, match=f"coefficient {coeff} "):
+            lo.elementary_divisors([[(coeff,)]], 3)
+    with pytest.raises(DomainError, match="coefficient -1 "):
+        lo.elementary_divisors([[(1,), (0, -1)], [(), (1,)]], 4)
+
+
 def test_elementary_divisors_singular():
     with pytest.raises(SingularMatrix):
         lo.elementary_divisors([[(1,), (1,)], [(1,), (1,)]], 2)
@@ -390,14 +398,59 @@ def test_valuation_sum_guard(monkeypatch):
     """A Smith kernel whose valuations miss val det is caught."""
     lat = lo.t_power_lattice((1, 0, -1), 3, 1)
     std = lo.t_power_lattice((0, 0, 0), 3, 1)
-    monkeypatch.setattr(lo, "_local_valuations", lambda *args: [0, 0, 0])
+    # rank 4: inv_from_standard goes through the kernel
+    wide = lo.t_power_lattice((1, 0, 0, -1), 3, 1)
+    monkeypatch.setattr(lo, "_local_valuations", lambda *args: [0, 0, 0, 0])
     with pytest.raises(InternalInconsistency):
-        lo.inv_from_standard(lat)
+        lo.inv_from_standard(wide)
     with pytest.raises(InternalInconsistency):
         lo.relative_position(std, lat)
     monkeypatch.setattr(lo, "_local_valuations", lambda *args: None)
     with pytest.raises(InternalInconsistency):
-        lo.inv_from_standard(lat)
+        lo.inv_from_standard(wide)
+
+
+def test_divisor_chain_guard(monkeypatch):
+    """Determinantal divisors whose differences decrease are caught."""
+    monkeypatch.setattr(lo, "_hermite_divisors",
+                        lambda lat: [2, 3, 6][:lat.n])
+    for mu in [(1, -1), (1, 0, -1)]:
+        with pytest.raises(InternalInconsistency, match="divisor chain"):
+            lo.inv_from_standard(lo.t_power_lattice(mu, 3, 1))
+
+
+CLOSED_FORM_WINDOWS = ([(2, q, N) for q in (2, 3, 4, 9) for N in (0, 1, 2)]
+                       + [(2, 2, 3)] + [(3, q, 1) for q in (2, 3, 4, 5)]
+                       + [(3, 2, 2)])
+
+
+def _cross_minor_cancels(ring, lat):
+    """Whether the two terms of h01 h12 - t^{d1} h02, the one 2 x 2 minor of
+    a rank-3 Hermite form that is a difference, share a valuation below the
+    least valuation of a 2 x 2 minor, the sum of the two smallest Smith
+    valuations: they cancel, and the terms alone would give too small a
+    value."""
+    M = lat.mat
+    d1 = lat.diag_exponents()[1]
+    terms = [ring.mul(M[0][1], M[1][2]), ring.mul(ring.t_power(d1), M[0][2])]
+    if not all(terms) or _val(terms[0]) != _val(terms[1]):
+        return False
+    return _val(terms[0]) < sum(_divisor_valuations(ring, M)[1:])
+
+
+def test_closed_form_matches_kernel():
+    """At rank <= 3 inv_from_standard reads the determinantal divisors; the
+    local kernel is an independent route to the same valuations."""
+    cancelled = 0
+    for n, q, N in CLOSED_FORM_WINDOWS:
+        field, ring = GF(q), PolyRing(GF(q))
+        for lat in lo.enumerate_lattices(n, q, N):
+            vals = lo._t_valuations(field, lat.mat, 2 * N + 1,
+                                    sum(lat.diag_exponents()))
+            assert lo.inv_from_standard(lat) == \
+                tuple(sorted((v - N for v in vals), reverse=True))
+            cancelled += n == 3 and _cross_minor_cancels(ring, lat)
+    assert cancelled > 0
 
 
 def test_relative_position_identity_and_translation():
