@@ -7,11 +7,13 @@ t^d_i with 0 <= d_i <= 2N, entries right of a pivot reduced modulo it).
 The enumeration generates only the columns that keep t^{2N} L0 inside the
 form, so no candidate is rejected.  Relative positions are Smith valuations
 over GF(q)[[t]].  For a window lattice of rank n <= 3 they are read off its
-Hermite form: the first k valuations sum to the least valuation of a k x k
-minor, and they must form a divisor chain.  At rank >= 4, and in
-``relative_position`` and ``elementary_divisors``, one local kernel finds
-them in GF(q)[t]/(t^P) for a P above every valuation that can occur, and
-their sum is checked against the valuation of the determinant.
+Hermite form H: the first k valuations sum to the least valuation of a
+k x k minor, and they must form a divisor chain.  At rank >= 4 and N <= 1
+they lie in {0, 1, 2}, the rank of H mod t counts the zeros, and their sum
+val det H fixes the rest.  Otherwise (and in ``relative_position`` and
+``elementary_divisors``) one local kernel finds them in GF(q)[t]/(t^P) for
+a P above every valuation that can occur, and their sum is checked against
+the valuation of the determinant.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV = "SATKIT_BUDGET"
 
 Matrix = tuple[tuple[Poly, ...], ...]
+Profiles = Optional[Iterable[tuple[int, ...]]]
 
 
 def enumeration_budget() -> int:
@@ -134,10 +137,9 @@ def _profiles(n: int, N: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(2 * N + 1), repeat=n)
 
 
-def enumerate_lattices(n: int, q: int, N: int,
-                       profiles: Optional[Iterable[tuple[int, ...]]] = None,
-                       ) -> Iterator[LatticeHNF]:
-    """Every lattice of the window exactly once, in a deterministic order.
+def _walk(n: int, q: int, N: int, profiles: Profiles = None,
+          ) -> Iterator[tuple[Matrix, tuple[int, ...]]]:
+    """(Hermite form, diagonal exponents) of each window lattice, once.
 
     Iterates diagonal exponent profiles, then generates the entries above
     the diagonal column by column, only ever producing valid columns: a
@@ -155,6 +157,8 @@ def enumerate_lattices(n: int, q: int, N: int,
         profiles = _profiles(n, N)
     ring = PolyRing(GF(q))
     neg = ring.field.neg
+    # (H[i][j], x_i) for every free choice when acc_i = 0 and i > 0
+    unforced: dict[tuple[int, int], list[tuple[Poly, Poly]]] = {}
 
     def column(rows: list[list[Poly]], dexp: tuple[int, ...], j: int,
                x: list[Poly], i: int) -> Iterator[None]:
@@ -166,19 +170,24 @@ def enumerate_lattices(n: int, q: int, N: int,
         for k in range(i + 1, j):
             if x[k]:
                 acc = ring.add(acc, ring.mul(rows[i][k], x[k]))
-        low = min(s, d)
-        if any(acc[:low]):
-            return
-        forced = tuple(neg[c] for c in (acc + (0,) * d)[s:d])
-        for top in itertools.product(range(q), repeat=low):
-            h = ring.normalize(forced + top)
-            rows[i][j] = h
-            x[i] = ring.neg(ring.add(acc, (0,) * s + h)[d:])
+        pairs = None if acc or not i else unforced.get((s, d))
+        if pairs is None:
+            if any(acc[:min(s, d)]):
+                return
+            forced = tuple(neg[c] for c in (acc + (0,) * d)[s:d])
+            hs = (ring.normalize(forced + top)
+                  for top in itertools.product(range(q), repeat=min(s, d)))
+            # x_0 is never read; rows i > 0 reuse their unforced lists
+            pairs = ((h, ring.neg(ring.add(acc, _shift(h, s))[d:]) if i
+                      else ()) for h in hs)
+            if i and not acc:
+                pairs = unforced[s, d] = list(pairs)
+        for rows[i][j], x[i] in pairs:
             yield from column(rows, dexp, j, x, i - 1)
 
     def fill(rows: list[list[Poly]], dexp: tuple[int, ...], j: int):
         if j == n:
-            yield LatticeHNF(n, q, N, tuple(map(tuple, rows)))
+            yield tuple(map(tuple, rows)), dexp
             return
         x = [()] * j + [ring.t_power(2 * N - dexp[j])]
         for _ in column(rows, dexp, j, x, j - 1):
@@ -188,6 +197,12 @@ def enumerate_lattices(n: int, q: int, N: int,
         rows = [[ring.t_power(d) if i == j else () for j in range(n)]
                 for i, d in enumerate(dexp)]
         yield from fill(rows, dexp, 1)
+
+
+def enumerate_lattices(n: int, q: int, N: int, profiles: Profiles = None,
+                       ) -> Iterator[LatticeHNF]:
+    """Every lattice of the window exactly once, in the order of ``_walk``."""
+    return (LatticeHNF(n, q, N, mat) for mat, _ in _walk(n, q, N, profiles))
 
 
 def _local_valuations(field: GF, mat: Sequence[Sequence[Poly]],
@@ -247,8 +262,11 @@ def elementary_divisors(mat: Sequence[Sequence[Sequence[int]]], q: int) -> Vec:
     dominant GL(n) coweight.  ``mat`` holds ascending coefficient sequences
     of GF(q) elements, the integers 0..q-1."""
     ring = PolyRing(GF(q))
-    bad = [c for row in mat for e in row for c in e
-           if not (isinstance(c, int) and 0 <= c < q)]
+    try:
+        bad = [c for row in mat for e in row for c in e
+               if not (isinstance(c, int) and 0 <= c < q)]
+    except TypeError:
+        raise DomainError("entries must be coefficient sequences") from None
     if bad:
         raise DomainError(f"coefficient {bad[0]!r} is not an element of "
                           f"GF({q}), encoded as 0..{q - 1}")
@@ -284,22 +302,21 @@ def _val(h: Poly, absent: int) -> int:
     return absent
 
 
-def _hermite_divisors(lat: LatticeHNF) -> list[int]:
-    """val Δ_1, ..., val Δ_n for a window lattice of rank n <= 3, where Δ_k
-    is the least valuation of a k x k minor of its Hermite form.
+def _hermite_divisors(q: int, mat: Matrix, d: Sequence[int]) -> list[int]:
+    """val Δ_1, ..., val Δ_n, Δ_k the least valuation of a k x k minor, for
+    a window lattice of rank n <= 3 with Hermite form mat and diagonal d.
 
     The diagonal is t^{d_i}, so every minor but h01 h12 - t^{d1} h02 is a
     monomial times at most one entry.  A zero entry counts as valuation
     Σd, which is never below the true least value.  The product is formed
     only when its two terms tie below every other 2 x 2 minor, which is the
     one case where they can cancel into the least value."""
-    mat, d = lat.mat, lat.diag_exponents()
-    if lat.n < 2:
+    if len(d) < 2:
         return list(d)
     total = sum(d)
     h01 = mat[0][1]
     v01 = _val(h01, total)
-    if lat.n == 2:
+    if len(d) == 2:
         return [min(d[0], d[1], v01), total]
     h02, h12 = mat[0][2], mat[1][2]
     v02, v12 = _val(h02, total), _val(h12, total)
@@ -307,30 +324,52 @@ def _hermite_divisors(lat: LatticeHNF) -> list[int]:
     rest = min(d0 + d1, d0 + v12, d0 + d2, v01 + d2, d1 + d2)
     cross = min(v01 + v12, d1 + v02)
     if v01 + v12 == d1 + v02 < rest:
-        ring = PolyRing(GF(lat.q))
+        ring = PolyRing(GF(q))
         cross = _val(ring.sub(ring.mul(h01, h12), _shift(h02, d1)), total)
     return [min(d0, d1, d2, v01, v02, v12), min(rest, cross), total]
 
 
-def inv_from_standard(lat: LatticeHNF) -> Vec:
-    """Relative position inv(L0, lat).
+def _rank_mod_t(f: GF, mat: Matrix) -> int:
+    """Rank over GF(q) of the constant terms of a matrix."""
+    rows, rank = [[e[0] if e else 0 for e in row] for row in mat], 0
+    while rows:
+        pivot = rows.pop()
+        c = next((c for c, a in enumerate(pivot) if a), None)
+        if c is not None:
+            rank += 1
+            m = f.neg[f.inv[pivot[c]]]
+            rows = [[f.add[a][f.mul[f.mul[m][row[c]]][b]] for a, b in
+                     zip(row, pivot)] if row[c] else row for row in rows]
+    return rank
 
-    At rank n <= 3 the Smith valuations are the successive differences of
-    the determinantal divisors, read off the Hermite form, and they must
-    form a divisor chain (be non-decreasing).  At rank >= 4 they come from
-    the local kernel, checked against val det."""
-    N = lat.window
-    if lat.n <= 3:
-        least = _hermite_divisors(lat)
+
+def _standard_position(q: int, N: int, mat: Matrix, d: Sequence[int]) -> Vec:
+    """inv(L0, L) for the window lattice L with Hermite form ``mat`` and
+    diagonal exponents d, by the routes of the module docstring."""
+    n, total = len(d), sum(d)
+    if n <= 3:
+        least = _hermite_divisors(q, mat, d)
         pos = [b - a - N for a, b in zip([0] + least, least)]
         if pos != sorted(pos):
             raise InternalInconsistency(
                 f"determinantal divisors {least} of a window lattice do "
                 f"not give a divisor chain")
         return tuple(reversed(pos))
-    vals = _t_valuations(GF(lat.q), lat.mat, 2 * N + 1,
-                         sum(lat.diag_exponents()))
+    if N <= 1:
+        r = _rank_mod_t(GF(q), mat)
+        twos, ones = total - n + r, 2 * (n - r) - total
+        if twos < 0 or ones < 0:
+            raise InternalInconsistency(f"rank {r} of H mod t and val det "
+                                        f"{total} fit no window lattice")
+        return (2 - N,) * twos + (1 - N,) * ones + (-N,) * r
+    vals = _t_valuations(GF(q), mat, 2 * N + 1, total)
     return tuple(sorted((v - N for v in vals), reverse=True))
+
+
+def inv_from_standard(lat: LatticeHNF) -> Vec:
+    """Relative position inv(L0, lat)."""
+    return _standard_position(lat.q, lat.window, lat.mat,
+                              lat.diag_exponents())
 
 
 def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
@@ -357,22 +396,22 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
 
 def _census_chunk(args) -> Counter:
     n, q, N, chunk = args
-    return Counter(map(inv_from_standard,
-                       enumerate_lattices(n, q, N, profiles=chunk)))
+    return Counter(_standard_position(q, N, mat, d)
+                   for mat, d in _walk(n, q, N, chunk))
 
 
 def cell_census(n: int, q: int, N: int, workers: int = 1) -> dict[Vec, int]:
     """Counts of every relative position inv(L0, .) over the whole window."""
     _check_budget(n, q, N)
-    if workers > 1:
-        profs = list(_profiles(n, N))
+    profs = list(_profiles(n, N))
+    if workers > 1 and len(profs) > 1:
         chunk_size = max(1, len(profs) // (4 * workers))
         chunks = [profs[i:i + chunk_size]
                   for i in range(0, len(profs), chunk_size)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_census_chunk, [(n, q, N, ch) for ch in chunks])
         return sum(parts, Counter())
-    return _census_chunk((n, q, N, _profiles(n, N)))
+    return _census_chunk((n, q, N, profs))
 
 
 def count_cell(mu: Vec, q: int, N: int, workers: int = 1) -> int:
@@ -388,8 +427,9 @@ def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
     """Every lattice of the window, grouped by inv(L0, .): one enumeration
     serves every cell of the window."""
     cells: dict[Vec, list[LatticeHNF]] = {}
-    for lat in enumerate_lattices(n, q, N):
-        cells.setdefault(inv_from_standard(lat), []).append(lat)
+    for mat, d in _walk(n, q, N):
+        cells.setdefault(_standard_position(q, N, mat, d), []).append(
+            LatticeHNF(n, q, N, mat))
     return {lam: tuple(lats) for lam, lats in cells.items()}
 
 

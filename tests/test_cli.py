@@ -173,6 +173,15 @@ def test_empty_box_exits_2(capsys, argv):
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("n,window", [("0", "1"), ("2", "-1"), ("4", "-1")])
+def test_oracle_bad_window_exits_2(capsys, n, window):
+    code, out, err = run(capsys, "oracle", "--n", n, "--q", "2",
+                         "--window", window)
+    assert code == 2
+    assert out == ""
+    assert err == f"satkit: bad enumeration parameters n={n}, N={window}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["certify", "--n", "2", "--q", "1031", "--bound", "0"],
     ["oracle", "--n", "1", "--q", "1031", "--window", "0"],

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,30 @@ def test_column_walk_matches_full_scan(n, q, N):
     assert sorted(chunked) == sorted(walk)
 
 
+@pytest.mark.parametrize("n,q,N", WALK_CASES)
+def test_census_reads_the_walk(n, q, N):
+    """cell_census and _window_cells, which read positions straight off the
+    walk, agree with inv_from_standard over enumerate_lattices."""
+    ref = Counter(map(lo.inv_from_standard, lo.enumerate_lattices(n, q, N)))
+    assert lo.cell_census(n, q, N) == ref
+    profs = list(lo._profiles(n, N))
+    assert sum((lo._census_chunk((n, q, N, profs[k:k + 4]))
+                for k in range(0, len(profs), 4)), Counter()) == ref
+    cells = lo._window_cells(n, q, N)
+    assert {lam: len(lats) for lam, lats in cells.items()} == ref
+    assert all(lo.inv_from_standard(lat) == lam
+               for lam, lats in cells.items() for lat in lats)
+
+
+@pytest.mark.parametrize("n,N", [(0, 1), (2, -1), (4, -1)])
+def test_census_bad_parameters(n, N):
+    for workers in (1, 2):
+        with pytest.raises(DomainError,
+                           match=f"^bad enumeration parameters n={n}, "
+                                 f"N={N}$"):
+            lo.cell_census(n, 2, N, workers=workers)
+
+
 def test_column_walk_prunes(monkeypatch):
     """The walk generates only valid columns, so it never runs the column
     solve to test a candidate."""
@@ -228,6 +253,12 @@ def test_elementary_divisors_bad_coefficient():
             lo.elementary_divisors([[(coeff,)]], 3)
     with pytest.raises(DomainError, match="coefficient -1 "):
         lo.elementary_divisors([[(1,), (0, -1)], [(), (1,)]], 4)
+
+
+@pytest.mark.parametrize("mat", [[[5]], [[(1,), 3]], [5], 5])
+def test_elementary_divisors_bare_integer(mat):
+    with pytest.raises(DomainError, match="coefficient sequences"):
+        lo.elementary_divisors(mat, 3)
 
 
 def test_elementary_divisors_singular():
@@ -398,8 +429,8 @@ def test_valuation_sum_guard(monkeypatch):
     """A Smith kernel whose valuations miss val det is caught."""
     lat = lo.t_power_lattice((1, 0, -1), 3, 1)
     std = lo.t_power_lattice((0, 0, 0), 3, 1)
-    # rank 4: inv_from_standard goes through the kernel
-    wide = lo.t_power_lattice((1, 0, 0, -1), 3, 1)
+    # rank 4 at N = 2: inv_from_standard goes through the kernel
+    wide = lo.t_power_lattice((1, 0, 0, -1), 3, 2)
     monkeypatch.setattr(lo, "_local_valuations", lambda *args: [0, 0, 0, 0])
     with pytest.raises(InternalInconsistency):
         lo.inv_from_standard(wide)
@@ -410,13 +441,42 @@ def test_valuation_sum_guard(monkeypatch):
         lo.inv_from_standard(wide)
 
 
+def test_rank_rule_guard(monkeypatch):
+    """A rank mod t that no valuations in {0, 1, 2} can meet is caught: full
+    rank with val det 4 leaves -4 ones, rank 0 with val det 0 leaves -4
+    twos."""
+    monkeypatch.setattr(lo, "_rank_mod_t", lambda field, mat: len(mat))
+    with pytest.raises(InternalInconsistency, match="rank 4 of H mod t"):
+        lo.inv_from_standard(lo.t_power_lattice((1, 0, 0, -1), 3, 1))
+    monkeypatch.setattr(lo, "_rank_mod_t", lambda field, mat: 0)
+    with pytest.raises(InternalInconsistency, match="rank 0 of H mod t"):
+        lo.inv_from_standard(lo.t_power_lattice((-1, -1, -1, -1), 3, 1))
+
+
 def test_divisor_chain_guard(monkeypatch):
     """Determinantal divisors whose differences decrease are caught."""
     monkeypatch.setattr(lo, "_hermite_divisors",
-                        lambda lat: [2, 3, 6][:lat.n])
+                        lambda q, mat, d: [2, 3, 6][:len(d)])
     for mu in [(1, -1), (1, 0, -1)]:
         with pytest.raises(InternalInconsistency, match="divisor chain"):
             lo.inv_from_standard(lo.t_power_lattice(mu, 3, 1))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_rank_rule_matches_kernel(q):
+    """At rank 4 and N <= 1 inv_from_standard reads the valuations off the
+    rank of H mod t and val det; the local kernel and, on a sample, the
+    determinantal divisors are independent routes to them."""
+    field, ring = GF(q), PolyRing(GF(q))
+    lats = list(lo.enumerate_lattices(4, q, 1))
+    for lat in lats:
+        vals = lo._t_valuations(field, lat.mat, 3, sum(lat.diag_exponents()))
+        assert lo.inv_from_standard(lat) == \
+            tuple(sorted((v - 1 for v in vals), reverse=True))
+    for lat in random.Random(q).sample(lats, 150):
+        assert lo.inv_from_standard(lat) == \
+            tuple(v - 1 for v in _divisor_valuations(ring, lat.mat))
+    assert lo.cell_census(4, q, 0) == {(0, 0, 0, 0): 1}
 
 
 CLOSED_FORM_WINDOWS = ([(2, q, N) for q in (2, 3, 4, 9) for N in (0, 1, 2)]
