@@ -5,6 +5,13 @@ root system is the coroot system, so the half-sum entering every formula
 here is the half-sum of positive coroots, handled throughout in doubled
 (2rho) coordinates with evenness assertions instead of rational arithmetic.
 
+Lusztig's q-analogs sum the q-Kostant partition function P_q over a walk
+down one regular Weyl orbit that carries sign(w).  P_q is read from one
+dense table per datum, filled as an unbounded knapsack over a box of coroot
+coordinates and refilled over the coordinatewise max of the old and new
+boxes when a query leaves it.  Table fills, the Freudenthal recursion and
+tensor products estimate their work first and raise TooLarge over budget.
+
 The Brylinski-Kostant oracle at the end builds modules explicitly inside
 tensor powers of the standard representation (type A only) and exists to
 verify the q-analog computations independently.
@@ -13,8 +20,10 @@ verify the q-analog computations independently.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, gt, mul, sub
 
 from .errors import DomainError, InternalInconsistency, TooLarge, UnsupportedType
 from .polynomials import QPoly
@@ -22,6 +31,8 @@ from .root_datum import RootDatum, Vec, _vadd, _vscale, _vsub
 
 _AMBIENT_WORD_BUDGET = 5_000_000  # n^d guard for the explicit construction
 _BK_DIM_CAP = 3000  # largest dim L_mu that bk_oracle builds explicitly
+_KOSTANT_WORK_BUDGET = 25_000_000  # coefficient additions in one table fill
+_DIM_BUDGET = 2_000_000  # largest module whose weights or summands we compute
 
 
 def _form(datum: RootDatum, x: Vec, y: Vec) -> int:
@@ -33,7 +44,9 @@ def _form(datum: RootDatum, x: Vec, y: Vec) -> int:
 def weight_multiplicities(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
     """All weights of the dual-group irreducible L_mu with multiplicities,
     by the Freudenthal recursion over dominant weights."""
-    datum.require_dominant(mu)
+    dim = dim_rep(datum, mu)
+    if dim > _DIM_BUDGET:
+        raise TooLarge(f"dim L_mu = {dim} exceeds budget {_DIM_BUDGET}")
     dom = datum.dominant_below(mu)
     domset = set(dom)
     rho2 = datum.two_rho_check
@@ -99,7 +112,9 @@ def tensor_decompose(datum: RootDatum, lam: Vec, mu: Vec) -> dict[Vec, int]:
     dominant chamber with a sign, and walls are discarded.
     """
     datum.require_dominant(lam, "lam")
-    datum.require_dominant(mu, "mu")
+    dim = dim_rep(datum, lam) * dim_rep(datum, mu)
+    if dim > _DIM_BUDGET:
+        raise TooLarge(f"dim L_lam (x) L_mu = {dim} exceeds budget {_DIM_BUDGET}")
     rho2 = datum.two_rho_check
     acc: dict[Vec, int] = {}
     for nu_p, m in weight_multiplicities(datum, lam).items():
@@ -126,28 +141,52 @@ def q_kostant_partition(datum: RootDatum, beta: Vec) -> QPoly:
     coords = datum.coroot_coordinates(beta)
     if coords is None or any(c < 0 for c in coords):
         return QPoly.ZERO
-    return _kostant(datum, 0, coords)
+    _, strides, cells = _kostant_cells(datum, coords)
+    return QPoly(cells[sum(map(mul, coords, strides))])
 
 
-@lru_cache(maxsize=1 << 17)
-def _kostant(datum: RootDatum, idx: int, rem: Vec) -> QPoly:
-    """P_q of rem (in coroot coordinates) over the positive coroots from
-    index idx on.  The bound holds a whole DP without eviction: an LRU
-    eviction in the middle of a recursion makes it recompute subtrees."""
-    if all(c == 0 for c in rem):
-        return QPoly.ONE
-    table = datum.positive_coroot_coordinates
-    if idx == len(table):
-        return QPoly.ZERO
-    g = table[idx]
-    out = QPoly.ZERO
-    cur = rem
-    k = 0
-    while all(c >= 0 for c in cur):
-        out = out + _kostant(datum, idx + 1, cur).shift(k)
-        cur = _vsub(cur, g)
-        k += 1
-    return out
+@lru_cache(maxsize=16)
+def _kostant_table(datum: RootDatum) -> list:
+    """The memo: datum's q-Kostant table, first over the one cell at 0."""
+    return _kostant_fill(datum, (0,) * datum.rank)
+
+
+def _kostant_cells(datum: RootDatum, box: Vec) -> list:
+    """datum's table, refilled first if it does not cover box: over the max
+    of its box and box, or over box alone when that max is over budget."""
+    table = _kostant_table(datum)
+    if any(map(gt, box, table[0])):
+        try:
+            table[:] = _kostant_fill(datum, tuple(map(max, box, table[0])))
+        except TooLarge:
+            table[:] = _kostant_fill(datum, box)
+    return table
+
+
+def _kostant_fill(datum: RootDatum, box: Vec) -> list:
+    """[box, strides, cells], cells the row-major coefficient lists of P_q
+    on [0, box]: P[x] += q P[x - gamma], one positive coroot at a time.  The
+    work, |Phi+| adds per coefficient, is bounded before the fill starts."""
+    size = math.prod(b + 1 for b in box)
+    work = len(datum.positive_coroots) * size * (2 + sum(box)) // 2
+    if work > _KOSTANT_WORK_BUDGET:
+        raise TooLarge(f"q-Kostant table over {list(box)}: work estimate "
+                       f"{work} exceeds budget {_KOSTANT_WORK_BUDGET}")
+    strides = tuple(math.prod(b + 1 for b in box[i + 1:])
+                    for i in range(len(box)))
+    cells = [[1]] + [[] for _ in range(size - 1)]
+    for g in datum.positive_coroot_coordinates:
+        off = sum(map(mul, g, strides))
+        targets = [0]
+        for lo, hi, s in zip(g, box, strides):
+            targets = [t + x * s for t in targets for x in range(lo, hi + 1)]
+        for t in targets:
+            src = cells[t - off]
+            if src:
+                dst, n = cells[t], len(src) + 1
+                dst += [0] * (n - len(dst))
+                dst[1:n] = map(add, dst[1:n], src)
+    return [box, strides, cells]
 
 
 def lusztig_q_analog(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
@@ -155,47 +194,48 @@ def lusztig_q_analog(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
     alternating Weyl sum of q-Kostant partition values
     sum_w sign(w) P_q(w(mu+rho) - (lam+rho)).
 
-    The point 2(mu+rho) is regular, so w is determined by v = w(2(mu+rho))
-    and sign(w) is the parity of the positive roots pairing negatively with
-    v.  The sum runs over this orbit by a walk down from the dominant point:
-    from v, each simple reflection s_i with <alpha_i, v> > 0 strictly lowers
-    v by a multiple of alpha_i^vee.  Only points v with v - 2(lam+rho) in
-    the positive coroot cone have a nonzero term, and that set is closed
-    upward, so the walk expands only those and still reaches every one.
+    The point 2(mu+rho) is regular, so w is determined by v = w(2(mu+rho)).
+    The walk goes down this orbit from the dominant point: from v, each
+    simple reflection s_i with <alpha_i, v> > 0 lowers v by a multiple of
+    alpha_i^vee and lengthens w by one, so sign(w) flips at each step.  Only
+    points v with v - 2(lam+rho) in the positive coroot cone have a nonzero
+    term, and that set is closed upward, so the walk expands only those and
+    still reaches every one.  Their arguments lie in [0, gap], gap the
+    coroot coordinates of mu - lam, and the walk carries each one's index in
+    the datum's dense q-Kostant table.  A table not covering [0, gap] is
+    refilled over the coordinatewise max of its box and gap, or over gap
+    alone when that max is over budget: a fill whose work (|Phi+| times its
+    coefficients) is over ``_KOSTANT_WORK_BUDGET`` raises TooLarge first.
 
     Specializes to the Freudenthal multiplicity at q = 1; returns the zero
-    polynomial when mu and lam lie in different coroot-lattice cosets.
+    polynomial unless lam <= mu (in particular across coroot cosets).
     """
     datum.require_dominant(mu)
     datum.require_dominant(lam, "lam")
     gap = datum.coroot_coordinates(_vsub(mu, lam))
-    if gap is None:
+    if gap is None or any(c < 0 for c in gap):
         return QPoly.ZERO
-    rho2 = datum.two_rho_check
-    top2 = _vadd(_vscale(2, mu), rho2)
-    low2 = _vadd(_vscale(2, lam), rho2)
-    out = QPoly.ZERO
-    # entries: an orbit point v and the coroot coordinates of v - low2
-    stack = [(top2, _vscale(2, gap))]
+    box, strides, cells = _kostant_cells(datum, gap)
+    simple = list(zip(datum.simple_roots, datum.simple_coroots, strides, box))
+    top2 = _vadd(_vscale(2, mu), datum.two_rho_check)
+    top = sum(map(mul, gap, strides))
+    acc = [0] * len(cells[top])
+    stack = [(top2, top, 1)]   # an orbit point, its term's index, sign(w)
     seen = {top2}
     while stack:
-        v, coords = stack.pop()
-        arg2 = _vsub(v, low2)
-        if any(x % 2 for x in arg2):
-            raise InternalInconsistency(f"odd Weyl-sum argument {arg2}")
-        term = q_kostant_partition(datum, tuple(x // 2 for x in arg2))
-        if sum(datum.pairing(a, v) < 0 for a in datum.positive_roots) % 2:
-            term = -term
-        out = out + term
-        for i, a in enumerate(datum.simple_roots):
-            k = datum.pairing(a, v)
-            if 0 < k <= coords[i]:
-                u = _vsub(v, _vscale(k, datum.simple_coroots[i]))
+        v, idx, sign = stack.pop()
+        term = cells[idx]
+        acc[:len(term)] = map(add if sign > 0 else sub, acc, term)
+        for a, av, s, b in simple:
+            k = sum(map(mul, a, v))
+            if 0 < k <= 2 * (idx // s % (b + 1)):
+                if k % 2:
+                    raise InternalInconsistency(f"odd Weyl-walk step {k} at {v}")
+                u = tuple(x - k * y for x, y in zip(v, av))
                 if u not in seen:
                     seen.add(u)
-                    stack.append(
-                        (u, coords[:i] + (coords[i] - k,) + coords[i + 1:]))
-    return out
+                    stack.append((u, idx - k // 2 * s, -sign))
+    return QPoly(acc)
 
 
 def ic_stalk_polynomial(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:

@@ -313,6 +313,28 @@ def test_verlinde_sum_work_exits_3(capsys, argv):
     assert "sum work" in err and len(err.strip().splitlines()) == 1
 
 
+def _csv(*entries):
+    return ",".join(map(str, entries))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["qanalog", "--type", "GL", "--rank", "12", "--mu", _csv(12, *[0] * 11),
+      "--lam", _csv(*[1] * 12)], "q-Kostant table"),
+    (["qanalog", "--type", "GL", "--rank", "30", "--mu", _csv(30, *[0] * 29),
+      "--lam", _csv(*[1] * 30)], "q-Kostant table"),
+    (["geom", "--type", "GL", "--rank", "12",
+      "--mu", _csv(6, 5, 4, 3, 2, 1, *[0] * 6)], "dim L_mu"),
+    (["convolve", "--type", "GL", "--rank", "9", "--lam", _csv(3, 2, 1, *[0] * 6),
+      "--mu", _csv(3, 2, 1, *[0] * 6)], "dim L_lam (x) L_mu"),
+])
+def test_symbolic_work_bound_exits_3(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
 def test_verlinde_batch(capsys, tmp_path):
     batch = tmp_path / "queries.jsonl"
     batch.write_text('{"n": 2, "g": 1, "m": 1}\n{"n": 3, "g": 2, "m": 2}\n')

@@ -29,7 +29,7 @@ def _memos():
 def test_every_memo_is_bounded():
     memos = dict(_memos())
     assert {"root_datum._gl_datum", "root_datum._simple_datum",
-            "weyl_rep._kostant", "weyl_rep._explicit_module",
+            "weyl_rep._kostant_table", "weyl_rep._explicit_module",
             "hecke_satake.ic_function", "hecke_satake._tensor",
             "lattice_oracle._window_cells",
             "lattice_oracle._convolution_histogram",

@@ -173,6 +173,63 @@ def test_q_kostant_matches_naive_enumeration():
             assert wr.q_kostant_partition(d, beta) == naive_q_kostant(d, beta)
 
 
+@pytest.mark.parametrize("label,lo,hi", [
+    ("GL(4)", -1, 2), ("B2", -2, 3), ("B3", -1, 2), ("C3", -1, 2),
+    ("D4", -1, 1), ("G2", -2, 3)])
+def test_q_kostant_table_matches_naive_enumeration(label, lo, hi):
+    d = make_root_datum(label)
+    for beta in itertools.product(range(lo, hi + 1), repeat=d.dim):
+        assert wr.q_kostant_partition(d, beta) == naive_q_kostant(d, beta)
+
+
+def _fresh_q_analogs(datum, pairs):
+    out = []
+    for mu, lam in pairs:
+        wr._kostant_table.cache_clear()
+        out.append(wr.lusztig_q_analog(datum, mu, lam))
+    return out
+
+
+def test_q_kostant_table_growth_gives_fresh_answers(monkeypatch):
+    """Small box, larger box, small box again: the answers are those of a
+    fresh memo, whether the table grows to cover both boxes or, over the
+    budget, is refilled over the new box alone."""
+    gl4 = make_root_datum("GL(4)")
+    # boxes (coroot coordinates of mu - lam): small inside (1, 1, 1), large
+    # (2, 2, 1), skew (1, 2, 3); a fill over (2, 2, 3) costs 972 additions
+    small = [((2, 0, 0, 0), (1, 1, 0, 0)), ((1, 0, 0, -1), (0, 0, 0, 0))]
+    large = [((3, 1, 0, 0), (1, 1, 1, 1)), ((2, 2, 0, 0), (1, 1, 1, 1))]
+    skew = [((1, 1, 1, -3), (0, 0, 0, 0)), ((2, 2, 2, 0), (2, 2, 1, 1))]
+    fresh = {id(p): _fresh_q_analogs(gl4, p) for p in (small, large, skew)}
+    for budget, last_box in ((wr._KOSTANT_WORK_BUDGET, (2, 2, 3)),
+                             (600, (2, 2, 1))):
+        monkeypatch.setattr(wr, "_KOSTANT_WORK_BUDGET", budget)
+        wr._kostant_table.cache_clear()
+        for pairs in (small, large, small, skew, large, small):
+            assert [wr.lusztig_q_analog(gl4, mu, lam)
+                    for mu, lam in pairs] == fresh[id(pairs)]
+        assert wr._kostant_table(gl4)[0] == last_box
+
+
+def test_q_kostant_table_work_bound():
+    gl12 = make_root_datum("GL(12)")
+    with pytest.raises(TooLarge, match="q-Kostant table"):
+        wr.lusztig_q_analog(gl12, (12,) + (0,) * 11, (1,) * 12)
+    with pytest.raises(TooLarge, match="q-Kostant table"):
+        wr.q_kostant_partition(gl12, (11,) + (-1,) * 11)
+
+
+def test_freudenthal_and_tensor_work_bound():
+    gl9 = make_root_datum("GL(9)")
+    mu = (3, 2, 1) + (0,) * 6
+    assert len(wr.weight_multiplicities(gl9, mu)) == 2562
+    with pytest.raises(TooLarge, match="dim L_lam"):
+        wr.tensor_decompose(gl9, mu, mu)
+    with pytest.raises(TooLarge, match="dim L_mu"):
+        wr.weight_multiplicities(make_root_datum("GL(12)"),
+                                 (6, 5, 4, 3, 2, 1) + (0,) * 6)
+
+
 # -- Lusztig q-analog and stalk polynomials -------------------------------------
 
 def test_lusztig_q_analog_values():
