@@ -98,7 +98,7 @@ def cmd_qanalog(args) -> int:
         payload["a_poly"] = []
         payload["note"] = "component mismatch"
     elif order is Dominance.LE:
-        payload["a_poly"] = _qpoly_json(wr.ic_stalk_polynomial(datum, mu, lam))
+        payload["a_poly"] = _qpoly_json(wr.stalk_from_q_analog(datum, mu, lam, m))
     else:
         payload["a_poly"] = None
         payload["note"] = "lambda not below mu"

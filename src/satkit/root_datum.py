@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -119,10 +117,13 @@ class RootDatum:
         self._validate()
         self._coroot_solver = _IntegralSolver(self.simple_coroots, dim)
         # W-invariant form B(x, y) = sum over positive roots of <a, x><a, y>
-        self.gram = tuple(
-            tuple(sum(a[i] * a[j] for a in self.positive_roots)
-                  for j in range(dim))
-            for i in range(dim))
+        gram = [[0] * dim for _ in range(dim)]
+        for a in self.positive_roots:
+            support = [(i, x) for i, x in enumerate(a) if x]
+            for i, x in support:
+                for j, y in support:
+                    gram[i][j] += x * y
+        self.gram = tuple(map(tuple, gram))
         self.positive_coroot_coordinates = tuple(
             map(self.coroot_coordinates, self.positive_coroots))
         if None in self.positive_coroot_coordinates:
@@ -262,69 +263,58 @@ class RootDatum:
 
 class _IntegralSolver:
     """Solves sum_i c_i b_i = delta for integer c, for a fixed independent
-    family (b_i) in Z^dim, in integer arithmetic only.
-
-    The rational left inverse Gram^{-1} B^T is computed once and stored as
-    the integer matrix den * Gram^{-1} B^T, where den is the common
-    denominator of its entries (a divisor of det Gram)."""
+    family (b_i) in Z^dim, in integer arithmetic only: fraction-free
+    Gauss-Jordan elimination (Bareiss) of [B | I], B with columns b_i, turns
+    r rows into [den e_i | L_i], so den c_i = L_i . delta if delta = B c.
+    L is kept by columns and each b_i by its support, so a solve costs the
+    nonzero coordinates of delta and of the b_i."""
 
     def __init__(self, basis: Sequence[Vec], dim: int):
-        self.basis = tuple(basis)
-        self.dim = dim
         r = len(basis)
-        # Gram = B^T B is invertible since the family is independent.
-        gram = [[Fraction(sum(basis[i][k] * basis[j][k] for k in range(dim)))
-                 for j in range(r)] for i in range(r)]
-        inv = _invert_fraction_matrix(gram)
-        pinv = [[sum(inv[i][j] * basis[j][k] for j in range(r))
-                 for k in range(dim)] for i in range(r)]
-        self.den = math.lcm(*(x.denominator for row in pinv for x in row))
-        self.scaled = tuple(tuple(int(x * self.den) for x in row)
-                            for row in pinv)
+        rows = [[b[k] for b in basis] + [int(j == k) for j in range(dim)]
+                for k in range(dim)]
+        prev = 1
+        for col in range(r):
+            piv = next(i for i in range(col, dim) if rows[i][col])
+            rows[col], rows[piv] = rows[piv], rows[col]
+            top, p = rows[col], rows[col][col]
+            for i, row in enumerate(rows):
+                if i != col:   # Bareiss: every division here is exact
+                    f = row[col]
+                    rows[i] = [(p * x - f * y) // prev
+                               for x, y in zip(row, top)]
+            prev = p
+        self.den = prev   # det of the pivot block, on the whole diagonal
+        self.columns = tuple(zip(*(row[r:] for row in rows[:r])))
+        self.supports = tuple(tuple((k, x) for k, x in enumerate(b) if x)
+                              for b in basis)
 
     def solve(self, delta: Vec) -> Optional[Vec]:
+        acc = [0] * len(self.supports)
+        for d, column in zip(delta, self.columns):
+            if d:
+                acc = [a + d * x for a, x in zip(acc, column)]
         coords = []
-        for row in self.scaled:
-            c, rem = divmod(sum(x * d for x, d in zip(row, delta)), self.den)
+        for a in acc:
+            c, rem = divmod(a, self.den)
             if rem:
                 return None
             coords.append(c)
-        # membership check: the least-squares solution must reproduce delta
-        for k in range(self.dim):
-            if sum(c * b[k] for c, b in zip(coords, self.basis)) != delta[k]:
-                return None
-        return tuple(coords)
-
-
-def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    r = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(r)]
-           for i, row in enumerate(m)]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[r:] for row in aug]
+        # membership check: the coordinates must reproduce delta
+        out = [0] * len(delta)
+        for c, support in zip(coords, self.supports):
+            for k, x in support:
+                out[k] += c * x
+        return tuple(coords) if out == list(delta) else None
 
 
 # -- concrete realizations ---------------------------------------------------
 
 @lru_cache(maxsize=64)
 def _gl_datum(n: int) -> RootDatum:
-    def e(i: int) -> Vec:
-        return tuple(int(k == i) for k in range(n))
-
-    roots = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                roots.append(_vsub(e(i), e(j)))
-    simple = [_vsub(e(i), e(i + 1)) for i in range(n - 1)]
+    e = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    roots = [_vsub(e[i], e[j]) for i in range(n) for j in range(n) if i != j]
+    simple = [_vsub(e[i], e[i + 1]) for i in range(n - 1)]
     return RootDatum(f"GL({n})", n, roots, list(roots), simple, list(simple))
 
 

@@ -7,7 +7,9 @@ sum is invariant under rotation, so the subsets containing 0 are grouped
 by their histogram of cyclic distances inside S, once per (n, m).  As
 2 sin(pi k / h) = (1 - w^(4k)) w^(h - 2k) with w = exp(2 pi i / 4h), the
 sum is evaluated in Z[w] / Phi_4h(w), where being rational is the
-checkable statement that every non-constant coefficient vanishes.
+checkable statement that every non-constant coefficient vanishes.  Each
+term's product of factors 1 - w^(4k) is taken in Z[w^4] / (w^(4h) - 1),
+packed into one big integer modulo 2^(hB) - 1.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from math import comb, gcd, prod
 from .errors import DomainError, IntegralityFailure, TooLarge, UnsupportedType
 
 SUBSET_BUDGET = 1_000_000
-# cap on _sum_work; a unit took about 1 ns on a 2-CPU x86-64 host, Python 3.11
+# cap on _sum_work, kept as the rule that refuses a query although the
+# estimate over-counts the packed sum
 SUM_WORK_BUDGET = 10_000_000_000
 TOLERANCE = 1e-6
 
@@ -51,21 +54,33 @@ class VerlindeQuery:
 @functools.lru_cache(maxsize=64)
 def _histograms(n: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(c, count) pairs over the n-subsets S of Z/h that contain 0, where
-    c[k] counts the pairs inside S at cyclic distance k, for 0 < k <= h/2."""
+    c[k] counts the pairs inside S at cyclic distance k, for 0 < k <= h/2,
+    by a depth-first walk: an element entering S adds its distances to the
+    elements in S, and leaving S takes them away."""
     h = n + m
-    counts = Counter()
-    for rest in itertools.combinations(range(1, h), n - 1):
-        c = [0] * (h // 2 + 1)
-        for s, t in itertools.combinations((0, *rest), 2):
-            c[min(t - s, h - t + s)] += 1
-        counts[tuple(c)] += 1
-    return tuple(counts.items())
+    dist = [min(k, h - k) for k in range(h)]
+    c, counts, chosen, t = [0] * (h // 2 + 1), Counter(), [0], 1
+    while True:
+        if t + n - len(chosen) <= h:   # room for t and the rest of S
+            for s in chosen:
+                c[dist[t - s]] += 1
+            chosen.append(t)
+            if len(chosen) < n:
+                t += 1
+                continue
+            counts[tuple(c)] += 1
+        elif len(chosen) == 1:
+            return tuple(counts.items())
+        t = chosen.pop()   # then go on with its successor
+        for s in chosen:
+            c[dist[t - s]] -= 1
+        t += 1
 
 
 def _sum_work(n: int, h: int, g: int) -> int:
-    """An upper estimate of the sum's work in machine words: per histogram,
-    E multiplications by 1 - zeta^k, each updating h coefficients of at most
-    E bits, plus a fixed 64 per update.  Histograms are rotation invariant,
+    """An upper estimate of the sum's work in machine words, as if each
+    histogram made E multiplications by 1 - zeta^k of h coefficients of up
+    to E bits, plus a fixed 64 per update.  Histograms are rotation invariant,
     so Burnside's count of the rotation classes of n-subsets bounds them."""
     e = gcd(h, n)
     classes = sum(comb(h // d, n // d) * sum(gcd(k, d) == 1 for k in range(d))
@@ -92,6 +107,49 @@ def _cyclotomic(N: int) -> list[int]:
     return poly
 
 
+def _packed_sum(n: int, g: int, m: int) -> list[int]:
+    """The sum over histograms in Z[w]/(w^4h - 1), constant term first.
+
+    Z[zeta]/(zeta^h - 1) is packed into Z/M, M = 2^(hB) - 1, with zeta as
+    2^B, so a ring product is an integer product folded mod M.  Each term
+    is the p-th power of a product of factors 1 - zeta^k, of L1 norm 2, so
+    each coefficient is below 2^E (E the total exponent) times C(h-1, n-1):
+    a balanced B-bit digit with a bit to spare."""
+    h = n + m
+    E = n * (n - 1) if g == 0 else (g - 1) * n * (h - n)
+    B = E + comb(h - 1, n - 1).bit_length() + 2
+    hB, M = h * B, (1 << h * B) - 1
+
+    def fold(x):   # congruent mod M, and |fold(x)| <= M + 4 if |x| < 2^(2hB+2)
+        x = (x & M) + (x >> hB)
+        return (x & M) + (x >> hB)
+
+    p, acc = 2 if g == 0 else g - 1, [0] * 4   # acc: one per w^r, r < 4
+    for c, count in _histograms(n, m):
+        x, shift = 1, 0
+        for k in range(1, len(c)):
+            # distance k occurs 2n times from S (n times at k = h/2), twice
+            # per pair inside S; genus 0 inverts: inside S squared over h^n
+            across = n * (1 + (2 * k < h)) - 2 * c[k]
+            e = c[k] if g == 0 else across if p else 0   # exponent in x
+            for _ in range(e):   # times zeta^k - 1; 0 <= x < 2^(hB+1)
+                x = (x << B * k) - x
+                x = (x & M) + (x >> hB)
+            shift += p * e * (3 * h - 2 * k)   # 1 - zeta^k = (zeta^k - 1) w^2h
+        y = x   # then y = x^p (x = 1 at p = 0), p's bits from the top
+        for bit in bin(p)[3:]:
+            y = fold(y * y) if bit == "0" else fold(fold(y * y) * x)
+        u, r = divmod(shift % (4 * h), 4)   # w^shift = zeta^u w^r
+        acc[r] += count * fold(y << B * u)
+    total, mask, half = [0] * (4 * h), (1 << B) - 1, 1 << B - 1
+    for r, x in enumerate(acc):   # balanced digits of the least residue
+        x = (x + (M >> 1)) % M - (M >> 1)
+        for j in range(h):
+            total[4 * j + r] = d = ((x & mask) ^ half) - half
+            x = (x - d) >> B
+    return total
+
+
 def verlinde_sl(query: VerlindeQuery, tol: float = TOLERANCE) -> int:
     """The exact integer value of the SL_n trigonometric dimension sum."""
     return verlinde_sl_report(query, tol)["dimension"]
@@ -110,20 +168,7 @@ def verlinde_sl_report(query: VerlindeQuery, tol: float = TOLERANCE) -> dict:
                        f"{SUM_WORK_BUDGET}")
     if not tol > 0.0:
         raise IntegralityFailure(f"residual 0.0 is not below tol={tol}")
-    h = n + m
-    total = [0] * (4 * h)   # in Z[w]/(w^4h - 1)
-    for c, count in _histograms(n, m):
-        a, shift = [1] + [0] * (h - 1), 0
-        for k in range(1, len(c)):
-            # distance k occurs 2n times from S (n times at k = h/2), twice
-            # per pair inside S; genus 0 inverts: inside S squared over h^n
-            across = n * (1 + (2 * k < h)) - 2 * c[k]
-            e = 2 * c[k] if g == 0 else (g - 1) * across
-            for _ in range(e):   # times 1 - zeta^k, with zeta = w^4
-                a = [a[j] - a[j - k] for j in range(h)]
-            shift += e * (h - 2 * k)
-        for j, x in enumerate(a):
-            total[(4 * j + shift) % (4 * h)] += count * x
+    h, total = n + m, _packed_sum(n, g, m)
     phi = _cyclotomic(4 * h)
     deg = len(phi) - 1
     for i in range(4 * h - 1, deg - 1, -1):   # reduce mod the monic Phi_4h

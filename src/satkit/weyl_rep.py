@@ -248,11 +248,16 @@ def ic_stalk_polynomial(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
     datum.require_dominant(lam, "lam")
     if not datum.leq(lam, mu):
         raise DomainError(f"lam={lam} is not below mu={mu}")
+    return stalk_from_q_analog(datum, mu, lam,
+                               lusztig_q_analog(datum, mu, lam))
+
+
+def stalk_from_q_analog(datum: RootDatum, mu: Vec, lam: Vec, m: QPoly) -> QPoly:
+    """a_{mu,lam}(q) from m = m_{mu,lam}(q), for dominant lam <= mu."""
     h2 = datum.height2(_vsub(mu, lam))
     if h2 % 2:
         raise InternalInconsistency(f"<2rho, mu-lam> = {h2} odd on a coroot coset")
     d = h2 // 2
-    m = lusztig_q_analog(datum, mu, lam)
     if m.degree > d:
         raise InternalInconsistency(
             f"deg m_{{mu,lam}} = {m.degree} exceeds <rho,mu-lam> = {d}")

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from satkit import verlinde as vl
+from satkit import weyl_rep as wr
 from satkit.cli import build_parser, clamp_workers, main, run_certification
 
 
@@ -75,6 +76,18 @@ def test_qanalog_equal_weights(capsys):
                        "--mu", "2,0", "--lam", "2,0")
     payload = json.loads(out)
     assert code == 0 and payload["m_poly"] == [1] and payload["a_poly"] == [1]
+
+
+def test_qanalog_walks_the_orbit_once(capsys, monkeypatch):
+    calls = []
+    walk = wr.lusztig_q_analog
+    monkeypatch.setattr(wr, "lusztig_q_analog",
+                        lambda *args: calls.append(args) or walk(*args))
+    code, out, _ = run(capsys, "qanalog", "--type", "GL", "--rank", "3",
+                       "--mu", "2,1,0", "--lam", "1,1,1")
+    payload = json.loads(out)
+    assert code == 0 and payload["m_poly"] == [0, 1, 1]
+    assert payload["a_poly"] == [1, 1] and len(calls) == 1
 
 
 def test_qanalog_component_mismatch(capsys):

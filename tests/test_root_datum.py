@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -241,3 +243,43 @@ def test_gl1_degenerate():
     assert gl1.dominance_leq((1,), (1,)) is Dominance.LE
     assert gl1.dominance_leq((1,), (2,)) is Dominance.INCOMPARABLE_COMPONENTS
     assert gl1.dominant_below((7,)) == [(7,)]
+
+
+def rational_coordinates(datum, delta):
+    """Coordinates of delta in the simple coroots by Gauss-Jordan
+    elimination over Q of [B | delta], or None unless they are integral."""
+    r = datum.rank
+    rows = [[Fraction(b[k]) for b in datum.simple_coroots] + [Fraction(d)]
+            for k, d in enumerate(delta)]
+    for col in range(r):
+        piv = next(i for i in range(col, len(rows)) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[col])]
+    coords = [row[r] for row in rows[:r]]
+    if any(row[r] for row in rows[r:]) or any(c.denominator != 1
+                                               for c in coords):
+        return None
+    return tuple(int(c) for c in coords)
+
+
+@pytest.mark.parametrize("label", ["GL(1)", "GL(2)", "GL(4)", "GL(8)", "A1",
+                                   "A3", "B3", "C4", "D4", "D5", "G2"])
+def test_coroot_coordinates_match_rational_solve(label):
+    datum = make_root_datum(label)
+    rng = random.Random(label)
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(datum.dim))
+               for _ in range(200)]
+    for _ in range(100):   # points of the coroot lattice
+        c = [rng.randint(-3, 3) for _ in datum.simple_coroots]
+        vectors.append(tuple(sum(x * b[k] for x, b in
+                                 zip(c, datum.simple_coroots))
+                             for k in range(datum.dim)))
+    vectors += datum.coroots + datum.roots
+    for v in vectors:
+        assert datum.coroot_coordinates(v) == rational_coordinates(datum, v)
+    dense = tuple(tuple(sum(a[i] * a[j] for a in datum.positive_roots)
+                        for j in range(datum.dim)) for i in range(datum.dim))
+    assert datum.gram == dense

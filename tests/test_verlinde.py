@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from satkit.errors import DomainError, TooLarge, UnsupportedType
-from satkit.verlinde import (VerlindeQuery, _histograms, _sum_work,
-                             genus_one_dimension, level_one_ade, verlinde_sl,
-                             verlinde_sl_report)
+from satkit.verlinde import (VerlindeQuery, _histograms, _packed_sum,
+                             _sum_work, genus_one_dimension, level_one_ade,
+                             verlinde_sl, verlinde_sl_report)
 
 
 def test_frozen_values():
@@ -110,6 +110,58 @@ def test_sum_work_bounds_the_updates():
             actual = len(_histograms(n, m)) * h * E * (64 + E // 64)
             assert actual <= _sum_work(n, h, g), (n, m, g)
         assert _sum_work(n, h, 1) == 0
+
+
+# The per-factor reference: every histogram counted over all pairs of every
+# subset, and every factor 1 - zeta^k applied as one pass over h coefficients.
+
+def reference_histograms(n, m):
+    h = n + m
+    counts = Counter()
+    for rest in itertools.combinations(range(1, h), n - 1):
+        c = [0] * (h // 2 + 1)
+        for s, t in itertools.combinations((0, *rest), 2):
+            c[min(t - s, h - t + s)] += 1
+        counts[tuple(c)] += 1
+    return dict(counts)
+
+
+def reference_sum(n, g, m):
+    h = n + m
+    total = [0] * (4 * h)
+    for c, count in reference_histograms(n, m).items():
+        a, shift = [1] + [0] * (h - 1), 0
+        for k in range(1, len(c)):
+            across = n * (1 + (2 * k < h)) - 2 * c[k]
+            e = 2 * c[k] if g == 0 else (g - 1) * across
+            for _ in range(e):
+                a = [a[j] - a[j - k] for j in range(h)]
+            shift += e * (h - 2 * k)
+        for j, x in enumerate(a):
+            total[(4 * j + shift) % (4 * h)] += count * x
+    return total
+
+
+_SMALL = [(n, m) for n in range(2, 12) for m in range(1, 13 - n)]
+
+
+def test_histograms_match_pair_count():
+    for n, m in _SMALL:
+        assert dict(_histograms(n, m)) == reference_histograms(n, m), (n, m)
+
+
+def test_packed_sum_matches_per_factor_loop():
+    for n, m in _SMALL:
+        for g in range(7):
+            assert _packed_sum(n, g, m) == reference_sum(n, g, m), (n, g, m)
+
+
+@pytest.mark.parametrize("n, g, m", [(2, 7200, 2), (4, 12, 4)])
+def test_packed_sum_with_wide_coefficients(n, g, m):
+    total = reference_sum(n, g, m)
+    assert max(map(abs, total)) > 2 ** 64
+    same = _packed_sum(n, g, m) == total   # too long for pytest to print
+    assert same
 
 
 # The fusion-ring route (Beauville, "Conformal blocks, fusion rules and the

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from satkit import weyl_rep as wr
-from satkit.errors import DomainError, TooLarge, UnsupportedType
+from satkit.errors import (DomainError, InternalInconsistency, TooLarge,
+                           UnsupportedType)
 from satkit.polynomials import QPoly
 from satkit.root_datum import (RootDatum, dominant_coweights_in_box,
                                make_root_datum)
@@ -284,6 +285,14 @@ def test_ic_stalk_polynomial():
     assert wr.ic_stalk_polynomial(GL2, (3, 1), (2, 2)) == QPoly.ONE
     with pytest.raises(DomainError):
         wr.ic_stalk_polynomial(GL2, (1, 1), (2, 0))
+
+
+def test_stalk_from_q_analog_keeps_the_degree_guard():
+    # <rho, (2,0) - (1,1)> = 1, so a q-analog of degree 2 cannot be flipped
+    assert wr.stalk_from_q_analog(GL2, (2, 0), (1, 1), QPoly([0, 1])) == \
+        QPoly.ONE
+    with pytest.raises(InternalInconsistency, match="exceeds"):
+        wr.stalk_from_q_analog(GL2, (2, 0), (1, 1), QPoly([0, 0, 1]))
 
 
 def test_ic_stalk_constant_term_one():
