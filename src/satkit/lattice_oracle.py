@@ -18,9 +18,7 @@ the valuation of the determinant.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -408,6 +406,7 @@ def cell_census(n: int, q: int, N: int, workers: int = 1) -> dict[Vec, int]:
         chunk_size = max(1, len(profs) // (4 * workers))
         chunks = [profs[i:i + chunk_size]
                   for i in range(0, len(profs), chunk_size)]
+        import multiprocessing   # only here, so importing satkit skips it
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_census_chunk, [(n, q, N, ch) for ch in chunks])
         return sum(parts, Counter())
@@ -533,24 +532,19 @@ def oracle_report(n: int, q: int, N: int, conv_bound: Optional[int] = None,
 
 def report_to_csv(report: dict, prefix: str) -> list[str]:
     """Write cells (and convolutions, when present) as CSV; returns paths."""
-    paths = []
-    cells_path = f"{prefix}_cells.csv"
-    with open(cells_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "q", "N", "mu", "count"])
-        for row in report["cells"]:
-            w.writerow([report["n"], report["q"], report["N"],
-                        " ".join(map(str, row["mu"])), row["count"]])
-    paths.append(cells_path)
+    import csv
+    n, q, words = report["n"], report["q"], lambda v: " ".join(map(str, v))
+    tables = [("cells", ["n", "q", "N", "mu", "count"],
+               [[n, q, report["N"], words(r["mu"]), r["count"]]
+                for r in report["cells"]])]
     if report["convolutions"]:
-        conv_path = f"{prefix}_convolutions.csv"
-        with open(conv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "q", "lambda", "mu", "nu", "count"])
-            for row in report["convolutions"]:
-                w.writerow([report["n"], report["q"],
-                            " ".join(map(str, row["lambda"])),
-                            " ".join(map(str, row["mu"])),
-                            " ".join(map(str, row["nu"])), row["count"]])
-        paths.append(conv_path)
+        tables.append(("convolutions", ["n", "q", "lambda", "mu", "nu", "count"],
+                       [[n, q, words(r["lambda"]), words(r["mu"]),
+                         words(r["nu"]), r["count"]]
+                        for r in report["convolutions"]]))
+    paths = []
+    for name, header, rows in tables:
+        paths.append(f"{prefix}_{name}.csv")
+        with open(paths[-1], "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
     return paths

@@ -33,12 +33,28 @@ def _vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def _vscale(k: int, a: Vec) -> Vec:
     return tuple(k * x for x in a)
+
+
+def _support(a: Vec) -> tuple[tuple[int, int], ...]:
+    return tuple((k, x) for k, x in enumerate(a) if x)
+
+
+def _spair(v: Vec, support) -> int:
+    """<v, a> for a given by its support."""
+    c = 0
+    for k, x in support:
+        c += v[k] * x
+    return c
+
+
+def _reflect(v: Vec, c: int, support) -> Vec:
+    """v - c a for a given by its support."""
+    out = list(v)
+    for k, x in support:
+        out[k] -= c * x
+    return tuple(out)
 
 
 class Dominance(enum.Enum):
@@ -116,10 +132,13 @@ class RootDatum:
             self.two_rho_check = _vadd(self.two_rho_check, av)
         self._validate()
         self._coroot_solver = _IntegralSolver(self.simple_coroots, dim)
+        # (alpha_i, alpha_i^vee) by supports: simple pairings and reflections
+        self._simple = tuple(zip(map(_support, self.simple_roots),
+                                 map(_support, self.simple_coroots)))
         # W-invariant form B(x, y) = sum over positive roots of <a, x><a, y>
         gram = [[0] * dim for _ in range(dim)]
         for a in self.positive_roots:
-            support = [(i, x) for i, x in enumerate(a) if x]
+            support = _support(a)
             for i, x in support:
                 for j, y in support:
                     gram[i][j] += x * y
@@ -133,13 +152,8 @@ class RootDatum:
 
     def _is_positive_root(self, a: Vec) -> bool:
         # Roots are +/- nonnegative combinations of simple roots; in both
-        # realizations used here the sign is visible coordinatewise.
-        for x in a:
-            if x > 0:
-                return True
-            if x < 0:
-                return False
-        return False
+        # realizations used here the first nonzero coordinate has the sign.
+        return next((x > 0 for x in a if x), False)
 
     def _validate(self) -> None:
         if len(self.roots) != len(self.coroots):
@@ -155,10 +169,14 @@ class RootDatum:
             if self.pairing(self.two_rho, av) != 2:
                 raise ShapeError("<2rho, alpha_i^vee> != 2")
         root_set = set(self.roots)
-        if root_set != {_vneg(a) for a in root_set}:
+        if root_set != {_vscale(-1, a) for a in root_set}:
             raise ShapeError("Phi != -Phi")
 
     # -- elementary operations ---------------------------------------------
+
+    def _check(self, mu: Vec) -> None:
+        if len(mu) != self.dim:
+            raise ShapeError(f"expected vectors of length {self.dim}")
 
     def pairing(self, chi: Vec, mu: Vec) -> int:
         """Canonical pairing of a weight with a coweight (dot product)."""
@@ -167,11 +185,13 @@ class RootDatum:
         return sum(x * y for x, y in zip(chi, mu))
 
     def simple_reflect_coweight(self, i: int, mu: Vec) -> Vec:
-        c = self.pairing(self.simple_roots[i], mu)
-        return _vsub(mu, _vscale(c, self.simple_coroots[i]))
+        self._check(mu)
+        a, av = self._simple[i]
+        return _reflect(mu, _spair(mu, a), av)
 
     def is_dominant(self, mu: Vec) -> bool:
-        return all(self.pairing(a, mu) >= 0 for a in self.simple_roots)
+        self._check(mu)
+        return all(_spair(mu, a) >= 0 for a, _ in self._simple)
 
     def require_dominant(self, mu: Vec, name: str = "mu") -> None:
         if not self.is_dominant(mu):
@@ -183,8 +203,7 @@ class RootDatum:
         Simple coroots are linearly independent, so the coordinates are
         unique whenever they exist over Z.
         """
-        if len(delta) != self.dim:
-            raise ShapeError(f"expected vector of length {self.dim}")
+        self._check(delta)
         return self._coroot_solver.solve(delta)
 
     def dominance_leq(self, lam: Vec, mu: Vec) -> Dominance:
@@ -206,26 +225,28 @@ class RootDatum:
         Repeatedly applies any simple reflection with negative pairing; the
         recorded word is reduced.
         """
+        self._check(mu)
         word = []
-        cur = mu
         while True:
-            for i, a in enumerate(self.simple_roots):
-                if self.pairing(a, cur) < 0:
-                    cur = self.simple_reflect_coweight(i, cur)
+            for i, (a, av) in enumerate(self._simple):
+                c = _spair(mu, a)
+                if c < 0:
+                    mu = _reflect(mu, c, av)
                     word.append(i)
                     break
             else:
-                return cur, WeylElement(self, word)
+                return mu, WeylElement(self, word)
 
     def weyl_orbit(self, mu: Vec) -> frozenset[Vec]:
+        self._check(mu)
         seen = {mu}
         frontier = [mu]
         while frontier:
             nxt = []
             for v in frontier:
-                for i in range(self.rank):
-                    w = self.simple_reflect_coweight(i, v)
-                    if w not in seen:
+                for a, av in self._simple:
+                    c = _spair(v, a)
+                    if c and (w := _reflect(v, c, av)) not in seen:
                         seen.add(w)
                         nxt.append(w)
             frontier = nxt
@@ -286,8 +307,7 @@ class _IntegralSolver:
             prev = p
         self.den = prev   # det of the pivot block, on the whole diagonal
         self.columns = tuple(zip(*(row[r:] for row in rows[:r])))
-        self.supports = tuple(tuple((k, x) for k, x in enumerate(b) if x)
-                              for b in basis)
+        self.supports = tuple(map(_support, basis))
 
     def solve(self, delta: Vec) -> Optional[Vec]:
         acc = [0] * len(self.supports)
@@ -371,20 +391,16 @@ def _simple_datum(series: str, rank: int) -> RootDatum:
                       for j in range(rank)]
 
     # close the simple pairs under all simple reflections
-    def reflect(pair: tuple[Vec, Vec], k: int) -> tuple[Vec, Vec]:
-        a, av = pair
-        ca = sum(a[i] * simple_coroots[k][i] for i in range(rank))
-        cv = sum(simple_roots[k][i] * av[i] for i in range(rank))
-        return (_vsub(a, _vscale(ca, simple_roots[k])),
-                _vsub(av, _vscale(cv, simple_coroots[k])))
-
+    supports = [(_support(a), _support(av))
+                for a, av in zip(simple_roots, simple_coroots)]
     seen = {(simple_roots[i], simple_coroots[i]) for i in range(rank)}
     frontier = list(seen)
     while frontier:
         nxt = []
-        for pair in frontier:
-            for k in range(rank):
-                q = reflect(pair, k)
+        for a, av in frontier:
+            for sa, sv in supports:
+                q = (_reflect(a, _spair(a, sv), sa),
+                     _reflect(av, _spair(av, sa), sv))
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)

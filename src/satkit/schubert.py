@@ -105,7 +105,9 @@ def mv_basis_table(datum: RootDatum, mu: Vec) -> list[tuple[Vec, int, int]]:
     """
     datum.require_dominant(mu)
     mults = weyl_rep.weight_multiplicities(datum, mu)
-    rows = [(lam, mv_cycle_dim(datum, lam, mu), m) for lam, m in mults.items()]
+    h2 = datum.height2(mu)   # every lam here has lam^+ <= mu
+    rows = [(lam, _half(datum.height2(lam) + h2, "lam+mu"), m)
+            for lam, m in mults.items()]
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows
 

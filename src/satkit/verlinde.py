@@ -81,12 +81,16 @@ def _sum_work(n: int, h: int, g: int) -> int:
     """An upper estimate of the sum's work in machine words, as if each
     histogram made E multiplications by 1 - zeta^k of h coefficients of up
     to E bits, plus a fixed 64 per update.  Histograms are rotation invariant,
-    so Burnside's count of the rotation classes of n-subsets bounds them."""
+    so Burnside's count of the rotation classes of n-subsets bounds them.
+    At any genus, the walk in _histograms adds and takes away k distances
+    at each of the C(h - n + k, k) prefixes of k + 1 elements, 2 (h - n + 1)
+    C(h, n - 2) updates in all, each a 64-word Python step (50-110 ns where
+    the sum takes 0.3-1.7 ns per word; 2-CPU x86-64, Python 3.11)."""
     e = gcd(h, n)
     classes = sum(comb(h // d, n // d) * sum(gcd(k, d) == 1 for k in range(d))
                   for d in range(1, e + 1) if e % d == 0) // h
     E = n * (n - 1) if g == 0 else abs(g - 1) * n * (h - n)
-    return classes * h * E * (64 + E // 64)
+    return classes * h * E * (64 + E // 64) + 128 * (h - n + 1) * comb(h, n - 2)
 
 
 def _cyclotomic(N: int) -> list[int]:

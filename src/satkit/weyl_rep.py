@@ -4,6 +4,9 @@ Irreducibles are indexed by dominant coweights of the base datum.  The dual
 root system is the coroot system, so the half-sum entering every formula
 here is the half-sum of positive coroots, handled throughout in doubled
 (2rho) coordinates with evenness assertions instead of rational arithmetic.
+The weights of L_mu are the W-orbits of the dominant lam <= mu, walked once
+into a map from each weight to its dominant conjugate, which the Freudenthal
+recursion reads instead of straightening its ray points.
 
 Lusztig's q-analogs sum the q-Kostant partition function P_q over a walk
 down one regular Weyl orbit that carries sign(w).  P_q is read from one
@@ -43,45 +46,36 @@ def _form(datum: RootDatum, x: Vec, y: Vec) -> int:
 
 def weight_multiplicities(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
     """All weights of the dual-group irreducible L_mu with multiplicities,
-    by the Freudenthal recursion over dominant weights."""
-    dim = dim_rep(datum, mu)
-    if dim > _DIM_BUDGET:
+    by the Freudenthal recursion over dominant weights: ``where`` maps each
+    weight to its dominant conjugate, and a ray point outside it has left
+    the weight polytope."""
+    if (dim := dim_rep(datum, mu)) > _DIM_BUDGET:
         raise TooLarge(f"dim L_mu = {dim} exceeds budget {_DIM_BUDGET}")
-    dom = datum.dominant_below(mu)
-    domset = set(dom)
+    dom = sorted(datum.dominant_below(mu), key=datum.height2, reverse=True)
+    where = {nu: lam for lam in dom for nu in datum.weyl_orbit(lam)}
+    # the ray term B(nu, beta) is nu . (B beta), B beta once per coroot
+    rays = [(beta, tuple(sum(map(mul, row, beta)) for row in datum.gram))
+            for beta in datum.positive_coroots]
     rho2 = datum.two_rho_check
     mults: dict[Vec, int] = {mu: 1}
     top2 = _vadd(_vscale(2, mu), rho2)
     norm_top = _form(datum, top2, top2)
-    for lam in sorted(dom, key=datum.height2, reverse=True):
-        if lam == mu:
-            continue
+    for lam in dom[1:]:
         acc = 0
-        for beta in datum.positive_coroots:
-            k = 1
-            while True:
-                nu = _vadd(lam, _vscale(k, beta))
-                rep, _ = datum.dominant_representative(nu)
-                if rep not in domset:
-                    break   # convexity: the ray has left the weight polytope
-                acc += mults[rep] * _form(datum, nu, beta)
-                k += 1
+        for beta, b_beta in rays:
+            nu = _vadd(lam, beta)
+            while (rep := where.get(nu)) is not None:
+                acc += mults[rep] * sum(map(mul, nu, b_beta))
+                nu = _vadd(nu, beta)
         lam2 = _vadd(_vscale(2, lam), rho2)
         denom = norm_top - _form(datum, lam2, lam2)
         if denom <= 0:
             raise InternalInconsistency(f"Freudenthal denominator {denom} at {lam}")
-        num = 8 * acc
-        if num % denom:
-            raise InternalInconsistency(f"Freudenthal division {num}/{denom} at {lam}")
-        mults[lam] = num // denom
-
-    out: dict[Vec, int] = {}
-    for lam, m in mults.items():
-        if m <= 0:
-            raise InternalInconsistency(f"multiplicity {m} at {lam}")
-        for nu in datum.weyl_orbit(lam):
-            out[nu] = m
-    return out
+        m, rem = divmod(8 * acc, denom)
+        if rem or m <= 0:
+            raise InternalInconsistency(f"Freudenthal gives {8 * acc}/{denom} at {lam}")
+        mults[lam] = m
+    return {nu: mults[lam] for nu, lam in where.items()}
 
 
 def weight_multiplicity(datum: RootDatum, mu: Vec, lam: Vec) -> int:

@@ -245,6 +245,17 @@ def test_oracle_workers_flag(capsys):
     assert sum(r["count"] for r in json.loads(out)["cells"]) == 15
 
 
+def test_import_leaves_out_the_worker_pool_and_csv():
+    # multiprocessing and csv load only for --workers > 1 and --csv
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, satkit.cli; "
+            "print(sorted({'multiprocessing', 'csv'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("value", ["-3", "0"])
 def test_oracle_workers_below_one_exits_2(capsys, value):
     code, _, err = run(capsys, "oracle", "--n", "2", "--q", "2",
@@ -317,7 +328,8 @@ def test_verlinde_summary_gives_length_of_long_values(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--n", "2", "--g", "200000", "--m", "2"],
-                                  ["--n", "2", "--g", "2", "--m", "1412"]])
+                                  ["--n", "2", "--g", "2", "--m", "1412"],
+                                  ["--n", "1000", "--g", "2", "--m", "1"]])
 def test_verlinde_sum_work_exits_3(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, "verlinde", *argv)

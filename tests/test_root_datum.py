@@ -7,7 +7,9 @@ import pytest
 from satkit.errors import ShapeError, UnsupportedType
 from satkit.root_datum import (Dominance, _vsub, dominant_coweights_in_box,
                                make_root_datum)
-from weyl_reference import matrix_on_coweights, weyl_group
+from weyl_reference import (REFERENCE_LABELS, dense_dominant_representative,
+                            dense_orbit, dense_reflect, matrix_on_coweights,
+                            reference_highest_weights, weyl_group)
 
 GL2 = make_root_datum("GL(2)")
 GL3 = make_root_datum("GL(3)")
@@ -133,6 +135,40 @@ def test_orbit_stabilizer_counting():
             stab = sum(1 for w in weyl_group(d)
                        if w.act_coweight(mu) == mu)
             assert len(orbit) * stab == order
+
+
+@pytest.mark.parametrize("label", REFERENCE_LABELS)
+def test_support_reflections_match_dense_pairings(label):
+    # every weight of the reference L_mu: orbits in the same order, the
+    # same reflections, and the same dominant conjugates and words
+    datum, mus = reference_highest_weights(label)
+    dominant = {lam for mu in mus for lam in datum.dominant_below(mu)}
+    weights = set()
+    for lam in dominant:
+        orbit = datum.weyl_orbit(lam)
+        assert list(orbit) == list(dense_orbit(datum, lam)), lam
+        weights |= orbit
+    for nu in weights:
+        for i in range(datum.rank):
+            assert (datum.simple_reflect_coweight(i, nu)
+                    == dense_reflect(datum, i, nu)), (nu, i)
+        rep, w = datum.dominant_representative(nu)
+        assert (rep, w.word) == dense_dominant_representative(datum, nu), nu
+        assert datum.is_dominant(nu) == (rep == nu)
+
+
+def test_wrong_length_coweights_raise_shape_error():
+    for d in (GL3, make_root_datum("B3"), make_root_datum("G2")):
+        for bad in [(1,) * (d.dim - 1), (1,) * (d.dim + 1)]:
+            for call in (lambda: d.pairing(d.two_rho, bad),
+                         lambda: d.is_dominant(bad),
+                         lambda: d.require_dominant(bad),
+                         lambda: d.dominant_representative(bad),
+                         lambda: d.weyl_orbit(bad),
+                         lambda: d.simple_reflect_coweight(0, bad),
+                         lambda: d.coroot_coordinates(bad)):
+                with pytest.raises(ShapeError):
+                    call()
 
 
 def test_weyl_group_orders():

@@ -6,6 +6,7 @@ from satkit import schubert as sch
 from satkit import weyl_rep as wr
 from satkit.errors import DomainError, EmptyFiber, EmptyIntersection
 from satkit.root_datum import dominant_coweights_in_box, make_root_datum
+from weyl_reference import REFERENCE_LABELS, reference_highest_weights
 
 GL2 = make_root_datum("GL(2)")
 GL3 = make_root_datum("GL(3)")
@@ -123,6 +124,14 @@ def test_mv_basis_counts_sum_to_dimension():
         d = GL2 if len(mu) == 2 else GL3
         rows = sch.mv_basis_table(d, mu)
         assert sum(r[2] for r in rows) == wr.dim_rep(d, mu)
+
+
+@pytest.mark.parametrize("label", REFERENCE_LABELS)
+def test_mv_basis_rows_match_mv_cycle_dim(label):
+    datum, mus = reference_highest_weights(label)
+    for mu in mus:
+        for lam, dim, _ in sch.mv_basis_table(datum, mu):
+            assert dim == sch.mv_cycle_dim(datum, lam, mu), (mu, lam)
 
 
 def test_mv_basis_table_json():

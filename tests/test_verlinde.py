@@ -100,16 +100,36 @@ def test_sum_work_budget():
     assert verlinde_sl(VerlindeQuery(2, 7200, 2)) % 2 == 0
 
 
+def reference_walk_updates(n, m):
+    """Distance updates of the depth-first walk in _histograms: every
+    prefix {0, t_1 < ... < t_k} that leaves room for the rest of S adds its
+    k new distances and later takes them away."""
+    h = n + m
+    return sum(2 * k for k in range(1, n)
+               for rest in itertools.combinations(range(1, h), k)
+               if rest[-1] + n - k <= h)
+
+
 def test_sum_work_bounds_the_updates():
     """The estimate counts at least one update of h coefficients per actual
-    histogram and multiplication, at the weight the estimate gives each."""
-    for n, m in [(2, 2), (2, 7), (3, 3), (4, 4), (4, 6), (6, 6), (7, 3)]:
+    histogram and multiplication, at the weight the estimate gives each,
+    and 64 per distance update of the histogram walk, at every genus."""
+    for n, m in [(2, 2), (2, 7), (3, 3), (4, 4), (4, 6), (6, 6), (7, 3),
+                 (9, 1), (10, 2)]:
         h = n + m
+        walk = 64 * reference_walk_updates(n, m)
         for g in (0, 2, 5):
             E = n * (n - 1) if g == 0 else (g - 1) * n * (h - n)
             actual = len(_histograms(n, m)) * h * E * (64 + E // 64)
-            assert actual <= _sum_work(n, h, g), (n, m, g)
-        assert _sum_work(n, h, 1) == 0
+            assert actual + walk <= _sum_work(n, h, g), (n, m, g)
+        assert _sum_work(n, h, 1) == walk
+
+
+def test_sum_work_counts_the_walk_at_level_one():
+    # one rotation class of subsets, so the walk's ~2n^3/3 updates dominate
+    with pytest.raises(TooLarge, match="sum work"):
+        verlinde_sl(VerlindeQuery(1000, 2, 1))
+    assert verlinde_sl(VerlindeQuery(300, 2, 1)) == level_one_ade("A299", 2)
 
 
 # The per-factor reference: every histogram counted over all pairs of every

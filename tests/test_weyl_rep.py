@@ -8,7 +8,8 @@ from satkit.errors import (DomainError, InternalInconsistency, TooLarge,
 from satkit.polynomials import QPoly
 from satkit.root_datum import (RootDatum, dominant_coweights_in_box,
                                make_root_datum)
-from weyl_reference import weyl_group
+from weyl_reference import (REFERENCE_LABELS, ray_walk_multiplicities,
+                             reference_highest_weights, weyl_group)
 
 GL2 = make_root_datum("GL(2)")
 GL3 = make_root_datum("GL(3)")
@@ -100,6 +101,16 @@ def test_weight_multiplicities_mass():
             for lam, m in mults.items():
                 rep, _ = d.dominant_representative(lam)
                 assert mults[rep] == m
+
+
+@pytest.mark.parametrize("label", REFERENCE_LABELS)
+def test_weight_multiplicities_match_the_ray_walk(label):
+    # the same weights, multiplicities and order as straightening every
+    # ray point of the recursion
+    datum, mus = reference_highest_weights(label)
+    for mu in mus:
+        assert (list(wr.weight_multiplicities(datum, mu).items())
+                == list(ray_walk_multiplicities(datum, mu).items())), mu
 
 
 def test_dim_rep():
