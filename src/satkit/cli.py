@@ -55,14 +55,14 @@ def _datum(args) -> RootDatum:
 
 
 def _emit(payload: dict, summary: str = "") -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     if summary:
         print(summary, file=sys.stderr)
 
 
 def _qpoly_json(p) -> list[int]:
-    return list(p.coeffs)
+    """Coefficients of a QPoly ascending from q^0."""
+    return [0] * p.low + list(p.coeffs)
 
 
 def cmd_geom(args) -> int:
@@ -318,8 +318,7 @@ def cmd_verlinde(args) -> int:
             out["schema"] = SCHEMA
             lines.append(out)
         for out in lines:
-            json.dump(out, sys.stdout)
-            sys.stdout.write("\n")
+            sys.stdout.write(json.dumps(out) + "\n")
         print(f"{len(lines)} queries", file=sys.stderr)
         return 0
     if args.ade is not None:

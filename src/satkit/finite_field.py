@@ -36,29 +36,16 @@ Poly = tuple[int, ...]
 _MAX_Q = 1024
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise UnsupportedType(f"{q} is not a prime power")
-            return p, e
-    raise UnsupportedType(f"{q} is not a prime power")
+    # the least divisor >= 2 of q is prime
+    p = next((k for k in range(2, q + 1) if q % k == 0), None)
+    m, e = q, 0
+    while p and m % p == 0:
+        m //= p
+        e += 1
+    if p is None or m != 1:
+        raise UnsupportedType(f"{q} is not a prime power")
+    return p, e
 
 
 @lru_cache(maxsize=16)
@@ -83,10 +70,12 @@ class GF:
         self.q, self.p, self.e = q, p, e
 
         if e == 1:
-            self.add = [[(x + y) % p for y in range(q)] for x in range(q)]
-            self.neg = [-x % p for x in range(q)]
-            self.mul = [[x * y % p for y in range(q)] for x in range(q)]
-            self.inv = [0] + [pow(x, p - 2, p) for x in range(1, q)]
+            # every row holds the same q int objects, not q^2 new ones
+            els = list(range(q))
+            self.add = [els[x:] + els[:x] for x in range(q)]
+            self.neg = [els[-x % p] for x in range(q)]
+            self.mul = [[els[x * y % p] for y in range(q)] for x in range(q)]
+            self.inv = [els[0]] + [els[pow(x, p - 2, p)] for x in range(1, q)]
             return
 
         def digits(x: int) -> list[int]:

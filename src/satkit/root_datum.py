@@ -21,9 +21,12 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import (DomainError, InternalInconsistency, ShapeError,
-                     UnsupportedType)
+                     TooLarge, UnsupportedType)
 
 Vec = tuple[int, ...]
+
+_DOMINANT_BUDGET = 100_000  # most dominant weights dominant_below may walk
+
 
 def _vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
@@ -263,7 +266,8 @@ class RootDatum:
         points.  This reaches every dominant lam <= mu: whenever a dominant
         mu' covers a dominant lam in the dominance order, mu' - lam is a
         positive coroot (Stembridge, The partial order of dominant weights,
-        Adv. Math. 136, 1998).
+        Adv. Math. 136, 1998).  Raises TooLarge once the walk has found more
+        than _DOMINANT_BUDGET weights.
         """
         if not self.is_dominant(mu):
             raise ShapeError("dominant_below expects a dominant coweight")
@@ -276,6 +280,9 @@ class RootDatum:
                 if lam not in found and self.is_dominant(lam):
                     found.add(lam)
                     stack.append(lam)
+                    if len(found) > _DOMINANT_BUDGET:
+                        raise TooLarge(f"more than {_DOMINANT_BUDGET} dominant "
+                                       f"weights below mu={list(mu)}")
         return sorted(found, key=lambda lam: (self.height2(lam), lam))
 
     def __repr__(self) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -358,6 +359,47 @@ def test_symbolic_work_bound_exits_3(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "geom --type GL --rank 2 --mu 99999999,0",
+    "satake --type GL --rank 2 --mu 99999999,0",
+    "convolve --type GL --rank 2 --lam 99999999,0 --mu 1,0",
+])
+def test_dominant_walk_bound_exits_3(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "dominant weights" in err and len(err.strip().splitlines()) == 1
+
+
+# sha256 of stdout as recorded at an earlier commit: payloads stay byte-identical
+@pytest.mark.parametrize("argv, digest", [
+    ("qanalog --type GL --rank 4 --mu 2,1,1,0 --lam 1,1,1,1 --bk-oracle",
+     "61acb5f759dcd9d0bd22711a9fd43044bccea9d18e594f6bdb7e3473ec55c8e6"),
+    ("qanalog --type GL --rank 8 --mu 4,2,1,1,0,0,0,0 --lam 1,1,1,1,1,1,1,1",
+     "7e841c3f429dfa4e2b9176b2864ab9fe3eaf45bdbcd32e95e9bd6bcac70e3ecd"),
+    ("qanalog --type B --rank 3 --mu 1,0,1 --lam 0,0,0",
+     "a53a1d8d01f3995537a679e57458fe970d25425b7b0954ccd9ffd1a04d11695b"),
+    ("convolve --type C --rank 4 --lam 1,0,0,0 --mu 1,0,0,0",
+     "11a2914be9aa4fca62722f422307d1c4b20291e9134bb73aec5ca77ed0166b4f"),
+    ("convolve --type GL --rank 2 --lam 1,-1 --mu 1,-1",
+     "05f6bee294935da9b7c68d9856e38a52a0d16b6e7669afce85297bfa8c0e2289"),
+    ("satake --type B --rank 4 --mu 1,0,0,0",
+     "6fd83b6082b86d70f490814bfc3d13afb777d7c7f39a291ff2ed10b15ba6bb1d"),
+    ("geom --type G --rank 2 --mu 2,1",
+     "517501d49421b91e01896df32be87666ea3135a439fedcd29458e18081764885"),
+    ("certify --n 2 --q 2,3 --coord-min -1 --coord-max 1",
+     "9628b581d9454b8cd0806f6bae8d693a00f0f1b645b6acd910f1ca1084f1a8d1"),
+])
+def test_payload_bytes_are_pinned(argv, digest):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "satkit.cli", *argv.split()],
+                          capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_verlinde_batch(capsys, tmp_path):

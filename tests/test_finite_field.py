@@ -4,7 +4,7 @@ import random
 import pytest
 
 from satkit.errors import InternalInconsistency, UnsupportedType
-from satkit.finite_field import _IRREDUCIBLE, GF, PolyRing
+from satkit.finite_field import _IRREDUCIBLE, GF, PolyRing, _factor_prime_power
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 49])
@@ -91,6 +91,27 @@ def test_prime_field_inverses():
     p = 1021
     f = GF(p)
     assert all(f.inv[x] * x % p == 1 for x in range(1, p))
+
+
+def test_prime_field_tables_share_one_element_list():
+    f = GF(1021)
+    ids = {id(x) for x in f.add[0]}
+    assert len(ids) == 1021
+    assert all(id(x) in ids for table in (f.add, f.mul) for row in table
+               for x in row)
+    assert all(id(x) in ids for x in f.neg + f.inv)
+
+
+def test_factor_prime_power_matches_trial_division():
+    primes = [p for p in range(2, 5000)
+              if all(p % k for k in range(2, int(p ** 0.5) + 1))]
+    powers = {p ** e: (p, e) for p in primes for e in range(1, 13)}
+    for q in range(-2, 5000):
+        if q in powers:
+            assert _factor_prime_power(q) == powers[q]
+        else:
+            with pytest.raises(UnsupportedType):
+                _factor_prime_power(q)
 
 
 def test_unsupported_q():

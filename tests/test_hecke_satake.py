@@ -62,10 +62,10 @@ def test_satake_transform_examples():
     s = hs.satake_transform(GL2, hs.c_basis(GL2, (1, 1)))
     assert s == hs.chi_basis(GL2, (1, 1))
     s = hs.satake_transform(GL2, hs.c_basis(GL2, (1, 0)))
-    assert s == hs.VirtualCharacter(GL2, {(1, 0): Laurent.v_power(1)})
+    assert s == hs.VirtualCharacter(GL2, {(1, 0): Laurent.monomial(1)})
     s = hs.satake_transform(GL2, hs.c_basis(GL2, (2, 0)))
     assert s == hs.VirtualCharacter(
-        GL2, {(2, 0): Laurent.v_power(2), (1, 1): Laurent.from_int(-1)})
+        GL2, {(2, 0): Laurent.monomial(2), (1, 1): Laurent.from_int(-1)})
 
 
 def test_inverse_satake_examples():
@@ -74,8 +74,8 @@ def test_inverse_satake_examples():
     assert hs.inverse_satake(GL2, hs.chi_basis(GL2, (1, 1))) == \
         hs.c_basis(GL2, (1, 1))
     out = hs.inverse_satake(GL2, hs.chi_basis(GL2, (2, 0)))
-    assert out == hs.HeckeElement(GL2, {(2, 0): Laurent.v_power(-2),
-                                        (1, 1): Laurent.v_power(-2)})
+    assert out == hs.HeckeElement(GL2, {(2, 0): Laurent.monomial(-2),
+                                        (1, 1): Laurent.monomial(-2)})
 
 
 def test_satake_round_trip_random():
@@ -162,7 +162,7 @@ def test_evaluate_at():
 
 
 def test_evaluate_at_rejects_odd_powers():
-    h = hs.HeckeElement(GL2, {(1, 0): Laurent.v_power(1)})
+    h = hs.HeckeElement(GL2, {(1, 0): Laurent.monomial(1)})
     from satkit.errors import InternalInconsistency
     with pytest.raises(InternalInconsistency):
         hs.evaluate_at(GL2, h, 2)

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from satkit.errors import ShapeError, UnsupportedType
+from satkit import root_datum
+from satkit.errors import ShapeError, TooLarge, UnsupportedType
 from satkit.root_datum import (Dominance, _vsub, dominant_coweights_in_box,
                                make_root_datum)
 from weyl_reference import (REFERENCE_LABELS, dense_dominant_representative,
@@ -279,6 +280,13 @@ def test_gl1_degenerate():
     assert gl1.dominance_leq((1,), (1,)) is Dominance.LE
     assert gl1.dominance_leq((1,), (2,)) is Dominance.INCOMPARABLE_COMPONENTS
     assert gl1.dominant_below((7,)) == [(7,)]
+
+
+def test_dominant_below_stops_past_its_budget(monkeypatch):
+    monkeypatch.setattr(root_datum, "_DOMINANT_BUDGET", 10)
+    assert len(GL2.dominant_below((18, 0))) == 10
+    with pytest.raises(TooLarge, match="more than 10 dominant weights"):
+        GL2.dominant_below((20, 0))
 
 
 def rational_coordinates(datum, delta):

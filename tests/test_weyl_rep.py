@@ -311,7 +311,7 @@ def test_ic_stalk_constant_term_one():
         for mu in dominant_coweights_in_box(d, *box):
             for lam in d.dominant_below(mu):
                 a = wr.ic_stalk_polynomial(d, mu, lam)
-                assert a.coeffs[0] == 1
+                assert a.coeff(0) == 1
                 assert all(c >= 0 for c in a.coeffs)
 
 
