@@ -29,8 +29,10 @@ class _Span:
         self.datum = datum
         clean: dict[Vec, Laurent] = {}
         for mu, c in dict(coeffs).items():
-            if not isinstance(c, Laurent):
+            if isinstance(c, int):
                 c = Laurent.from_int(c)
+            elif type(c) is not Laurent:
+                raise TypeError(f"coefficient {c!r} is not in Z[v, v^-1]")
             if c.is_zero:
                 continue
             datum.require_dominant(mu, "support element")
@@ -62,11 +64,8 @@ class _Span:
                 for mu in self.support]
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        sym = self._symbol
-        return " + ".join(f"({c})*{sym}{list(mu)}"
-                          for mu, c in sorted(self.coeffs.items()))
+        return " + ".join(f"({c})*{self._symbol}{list(mu)}"
+                          for mu, c in sorted(self.coeffs.items())) or "0"
 
 
 class HeckeElement(_Span):

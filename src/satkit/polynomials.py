@@ -10,7 +10,7 @@ both, ``low`` is the least exponent with a nonzero coefficient and
 ``coeffs`` runs from var^low up to the degree, nonzero at both ends; zero
 is low 0 with no coefficients.  So ``QPoly([0, 0, 3, 1])``, which is
 q^3 + 3q^2, has low 2 and coeffs (3, 1), and its coefficient of q^k is
-``coeff(k)``.
+``coeff(k)``.  Sums and products of a QPoly with a Laurent raise TypeError.
 """
 
 from __future__ import annotations
@@ -54,11 +54,13 @@ class Laurent:
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "Laurent":
         """c * var^k."""
-        return cls._make(k, (c,))
+        return cls.from_int(c).shifted(k)
 
     @staticmethod
     def from_qpoly(p: "QPoly") -> "Laurent":
         """Substitute q = v^2."""
+        if p.var != "q":
+            raise TypeError(f"from_qpoly expects a polynomial in q, got {p!r}")
         out = [0] * (2 * len(p.coeffs))
         out[::2] = p.coeffs
         return Laurent(2 * p.low, out)
@@ -87,6 +89,8 @@ class Laurent:
         return hash((self.low, self.coeffs))
 
     def __add__(self, other: "Laurent") -> "Laurent":
+        if other.var != self.var:
+            raise TypeError(f"cannot add {other!r} to {self!r}")
         if not other.coeffs:
             return self
         if not self.coeffs:
@@ -107,8 +111,8 @@ class Laurent:
     def __mul__(self, other: "Laurent | int") -> "Laurent":
         if isinstance(other, int):
             return self._make(self.low, [c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return self._make(0, ())
+        if other.var != self.var:
+            raise TypeError(f"cannot multiply {self!r} by {other!r}")
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -146,11 +150,10 @@ class Laurent:
         return self._make(d - self.degree, self.coeffs[::-1])
 
     def as_qpoly(self) -> "QPoly":
-        """Rewrite as a polynomial in q = v^2.
-
-        Raises InternalInconsistency if any odd v-power or negative exponent
-        is present.
-        """
+        """Rewrite as a polynomial in q = v^2; raises InternalInconsistency
+        if any odd v-power or negative exponent is present."""
+        if self.var != "v":
+            raise TypeError(f"as_qpoly expects a polynomial in v, got {self!r}")
         if self.low < 0:
             raise InternalInconsistency(f"negative v-exponent in {self!r}")
         odd = [k for k, c in enumerate(self.coeffs, self.low) if k % 2 and c]
@@ -161,13 +164,11 @@ class Laurent:
     def __repr__(self) -> str:
         terms = []
         for k, c in reversed(list(enumerate(self.coeffs, self.low))):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(f"{c}")
+            if not c:
                 continue
             x = self.var if k == 1 else f"{self.var}^{k}"
-            terms.append(x if c == 1 else f"-{x}" if c == -1 else f"{c}*{x}")
+            terms.append(f"{c}" if k == 0 else x if c == 1
+                         else f"-{x}" if c == -1 else f"{c}*{x}")
         return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
@@ -180,6 +181,11 @@ class QPoly(Laurent):
 
     def __init__(self, coeffs: Iterable[int] = ()):
         Laurent.__init__(self, 0, coeffs)
+
+    def shifted(self, k: int) -> "QPoly":
+        if self.coeffs and self.low + k < 0:
+            raise ValueError(f"{self!r} times q^{k} is not a polynomial in q")
+        return super().shifted(k)
 
 
 Laurent.ZERO = Laurent()

@@ -26,6 +26,12 @@ def test_element_normalization():
         hs.HeckeElement(GL2, {(0, 1): Laurent.ONE})
 
 
+def test_hecke_coefficients_must_be_laurent():
+    assert hs.HeckeElement(GL2, {(1, 0): 2}).coeff((1, 0)) == Laurent.from_int(2)
+    with pytest.raises(TypeError):
+        hs.HeckeElement(GL2, {(1, 0): QPoly.Q})
+
+
 def test_non_dominant_support_names_datum():
     with pytest.raises(DomainError, match=r"support element=\(0, 1, 0\) "
                        r"is not dominant for GL\(3\)"):

@@ -179,3 +179,18 @@ def test_equality_and_hash():
 def test_removed_names_are_gone():
     assert not hasattr(Laurent, "v_power") and not hasattr(Laurent, "high")
     assert not hasattr(QPoly, "shift")
+
+
+def test_q_and_v_do_not_mix():
+    v, q = Laurent.monomial(1), QPoly.Q
+    for op in (lambda: Laurent.ONE + q, lambda: q - v, lambda: Laurent.ZERO + q,
+               lambda: q * v, lambda: v * q, lambda: Laurent.from_qpoly(v),
+               lambda: q.as_qpoly()):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError):
+        QPoly.monomial(-1)
+    with pytest.raises(ValueError):
+        q.shifted(-2)
+    assert q.shifted(-1) == 1 and QPoly.ZERO.shifted(-1) == 0
+
