@@ -14,6 +14,10 @@ val det H fixes the rest.  Otherwise (and in ``relative_position`` and
 ``elementary_divisors``) one local kernel finds them in GF(q)[t]/(t^P) for
 a P above every valuation that can occur, and their sum is checked against
 the valuation of the determinant.
+
+The walk yields families that share all but the last free entry H[0][n-1].
+The census visits every member, keys it by what alone varies (val H[0][n-1]
+or its constant term) and applies the position rule once per distinct key.
 """
 
 from __future__ import annotations
@@ -103,7 +107,9 @@ def candidate_count(n: int, q: int, N: int) -> int:
 
 
 def _check_budget(n: int, q: int, N: int) -> None:
-    """Raise TooLarge when the window's candidate forms exceed the budget."""
+    """DomainError unless n >= 1 and N >= 0; TooLarge over the budget."""
+    if n < 1 or N < 0:
+        raise DomainError(f"bad enumeration parameters n={n}, N={N}")
     cap = enumeration_budget()
     est = candidate_count(n, q, N)
     if est > cap:
@@ -135,9 +141,9 @@ def _profiles(n: int, N: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(2 * N + 1), repeat=n)
 
 
-def _walk(n: int, q: int, N: int, profiles: Profiles = None,
-          ) -> Iterator[tuple[Matrix, tuple[int, ...]]]:
-    """(Hermite form, diagonal exponents) of each window lattice, once.
+def _families(n: int, q: int, N: int,
+              profiles: Profiles = None) -> Iterator[tuple]:
+    """The walk over every window lattice, split at its last free entry.
 
     Iterates diagonal exponent profiles, then generates the entries above
     the diagonal column by column, only ever producing valid columns: a
@@ -147,9 +153,12 @@ def _walk(n: int, q: int, N: int, profiles: Profiles = None,
     of rows already fixed (solved from j - 1 upward).  So acc_i must vanish
     below min(s, d_i), the coefficients of H[i][j] below d_i - s are forced
     to cancel acc_i, the top min(s, d_i) are free, and x_i is a shift.
+
+    H[0][n-1] is the innermost choice: this yields families (rows, d, f, m)
+    whose members set H[0][n-1] = f + t^{len f} u for each u of degree < m,
+    in ``itertools.product`` order (at n = 1, f = H[0][0] and m = 0).  The
+    lists in ``rows`` hold every other entry until the generator resumes.
     """
-    if n < 1 or N < 0:
-        raise DomainError(f"bad enumeration parameters n={n}, N={N}")
     if profiles is None:
         _check_budget(n, q, N)
         profiles = _profiles(n, N)
@@ -159,9 +168,9 @@ def _walk(n: int, q: int, N: int, profiles: Profiles = None,
     unforced: dict[tuple[int, int], list[tuple[Poly, Poly]]] = {}
 
     def column(rows: list[list[Poly]], dexp: tuple[int, ...], j: int,
-               x: list[Poly], i: int) -> Iterator[None]:
+               x: list[Poly], i: int) -> Iterator[tuple]:
         if i < 0:
-            yield
+            yield from fill(rows, dexp, j + 1)
             return
         s, d = 2 * N - dexp[j], dexp[i]
         acc: Poly = ()
@@ -173,6 +182,9 @@ def _walk(n: int, q: int, N: int, profiles: Profiles = None,
             if any(acc[:min(s, d)]):
                 return
             forced = tuple(neg[c] for c in (acc + (0,) * d)[s:d])
+            if not i and j == n - 1:
+                yield rows, dexp, forced, min(s, d)
+                return
             hs = (ring.normalize(forced + top)
                   for top in itertools.product(range(q), repeat=min(s, d)))
             # x_0 is never read; rows i > 0 reuse their unforced lists
@@ -184,23 +196,27 @@ def _walk(n: int, q: int, N: int, profiles: Profiles = None,
             yield from column(rows, dexp, j, x, i - 1)
 
     def fill(rows: list[list[Poly]], dexp: tuple[int, ...], j: int):
-        if j == n:
-            yield tuple(map(tuple, rows)), dexp
-            return
         x = [()] * j + [ring.t_power(2 * N - dexp[j])]
-        for _ in column(rows, dexp, j, x, j - 1):
-            yield from fill(rows, dexp, j + 1)
+        return column(rows, dexp, j, x, j - 1)
 
     for dexp in profiles:
         rows = [[ring.t_power(d) if i == j else () for j in range(n)]
                 for i, d in enumerate(dexp)]
-        yield from fill(rows, dexp, 1)
+        if n == 1:
+            yield rows, dexp, rows[0][0], 0
+        else:
+            yield from fill(rows, dexp, 1)
 
 
 def enumerate_lattices(n: int, q: int, N: int, profiles: Profiles = None,
                        ) -> Iterator[LatticeHNF]:
-    """Every lattice of the window exactly once, in the order of ``_walk``."""
-    return (LatticeHNF(n, q, N, mat) for mat, _ in _walk(n, q, N, profiles))
+    """Every lattice of the window exactly once: the members of the
+    families of ``_families``, in order."""
+    normalize = PolyRing(GF(q)).normalize
+    for rows, d, f, m in _families(n, q, N, profiles):
+        head, tail = tuple(rows[0][:-1]), tuple(map(tuple, rows[1:]))
+        for top in itertools.product(range(q), repeat=m):
+            yield LatticeHNF(n, q, N, (head + (normalize(f + top),),) + tail)
 
 
 def _local_valuations(field: GF, mat: Sequence[Sequence[Poly]],
@@ -300,31 +316,35 @@ def _val(h: Poly, absent: int) -> int:
     return absent
 
 
-def _hermite_divisors(q: int, mat: Matrix, d: Sequence[int]) -> list[int]:
-    """val Δ_1, ..., val Δ_n, Δ_k the least valuation of a k x k minor, for
-    a window lattice of rank n <= 3 with Hermite form mat and diagonal d.
-
-    The diagonal is t^{d_i}, so every minor but h01 h12 - t^{d1} h02 is a
-    monomial times at most one entry.  A zero entry counts as valuation
-    Σd, which is never below the true least value.  The product is formed
-    only when its two terms tie below every other 2 x 2 minor, which is the
-    one case where they can cancel into the least value."""
-    if len(d) < 2:
-        return list(d)
-    total = sum(d)
-    h01 = mat[0][1]
-    v01 = _val(h01, total)
-    if len(d) == 2:
-        return [min(d[0], d[1], v01), total]
-    h02, h12 = mat[0][2], mat[1][2]
-    v02, v12 = _val(h02, total), _val(h12, total)
+def _rest(d: Sequence[int], v01: int, v12: int) -> int:
+    """Least valuation of a rank-3 2 x 2 minor but h01 h12 - t^{d1} h02."""
     d0, d1, d2 = d
-    rest = min(d0 + d1, d0 + v12, d0 + d2, v01 + d2, d1 + d2)
-    cross = min(v01 + v12, d1 + v02)
-    if v01 + v12 == d1 + v02 < rest:
-        ring = PolyRing(GF(q))
-        cross = _val(ring.sub(ring.mul(h01, h12), _shift(h02, d1)), total)
-    return [min(d0, d1, d2, v01, v02, v12), min(rest, cross), total]
+    return min(d0 + d1, d0 + v12, d0 + d2, v01 + d2, d1 + d2)
+
+
+def _hermite_divisors(d: Sequence[int], v01: int = 0, v02: int = 0,
+                      v12: int = 0, cross: Optional[int] = None) -> list[int]:
+    """val Δ_k, the least valuation of a k x k minor, k = 1..n <= 3, from d
+    and v_ij = val H[i][j] (Σd for 0): with a diagonal of powers of t, every
+    minor but the cross minor is a monomial times at most one entry, and
+    that one is its lesser term unless its valuation ``cross`` is given."""
+    total = sum(d)
+    if len(d) < 3:
+        return [min(d[0], d[1], v01), total] if len(d) == 2 else [total]
+    if cross is None:
+        cross = min(v01 + v12, d[1] + v02)
+    return [min(*d, v01, v02, v12), min(_rest(d, v01, v12), cross), total]
+
+
+def _divisor_position(N: int, d: Sequence[int], *vals) -> Vec:
+    """inv(L0, L) at rank n <= 3 from its determinantal divisors, a chain."""
+    least = _hermite_divisors(d, *vals)
+    pos = [b - a - N for a, b in zip([0] + least, least)]
+    if pos != sorted(pos):
+        raise InternalInconsistency(
+            f"determinantal divisors {least} of a window lattice do "
+            f"not give a divisor chain")
+    return tuple(reversed(pos))
 
 
 def _rank_mod_t(f: GF, mat: Matrix) -> int:
@@ -341,33 +361,57 @@ def _rank_mod_t(f: GF, mat: Matrix) -> int:
     return rank
 
 
-def _standard_position(q: int, N: int, mat: Matrix, d: Sequence[int]) -> Vec:
-    """inv(L0, L) for the window lattice L with Hermite form ``mat`` and
-    diagonal exponents d, by the routes of the module docstring."""
-    n, total = len(d), sum(d)
-    if n <= 3:
-        least = _hermite_divisors(q, mat, d)
-        pos = [b - a - N for a, b in zip([0] + least, least)]
-        if pos != sorted(pos):
-            raise InternalInconsistency(
-                f"determinantal divisors {least} of a window lattice do "
-                f"not give a divisor chain")
-        return tuple(reversed(pos))
-    if N <= 1:
-        r = _rank_mod_t(GF(q), mat)
-        twos, ones = total - n + r, 2 * (n - r) - total
-        if twos < 0 or ones < 0:
-            raise InternalInconsistency(f"rank {r} of H mod t and val det "
-                                        f"{total} fit no window lattice")
-        return (2 - N,) * twos + (1 - N,) * ones + (-N,) * r
-    vals = _t_valuations(GF(q), mat, 2 * N + 1, total)
-    return tuple(sorted((v - N for v in vals), reverse=True))
+def _rank_position(N: int, n: int, total: int, r: int) -> Vec:
+    """inv(L0, L) at rank n >= 4, N <= 1 from r = rank H mod t, val det H."""
+    twos, ones = total - n + r, 2 * (n - r) - total
+    if twos < 0 or ones < 0:
+        raise InternalInconsistency(f"rank {r} of H mod t and val det "
+                                    f"{total} fit no window lattice")
+    return (2 - N,) * twos + (1 - N,) * ones + (-N,) * r
+
+
+def _member_keys(ring: PolyRing, vals: Sequence[list], n: int,
+                 rows: Sequence[Sequence[Poly]], d: tuple[int, ...], f: Poly,
+                 m: int) -> Iterable[tuple]:
+    """What inv(L0, .) of each member of a family of ``_families`` depends
+    on, in order, given val u for each u of degree < m in ``vals[m]``."""
+    total, tops = sum(d), itertools.product(range(ring.field.q), repeat=m)
+    if n >= 4:   # N <= 1: rank H mod t once per constant term of H[0][n-1]
+        consts = [f[0] if f else top[0] if top else 0 for top in tops]
+        ranks = {c: _rank_mod_t(ring.field, [[*rows[0][:-1], (c,)],
+                                             *rows[1:]]) for c in set(consts)}
+        return [(n, total, ranks[c]) for c in consts]
+    vf, k = _val(f, None), len(f)
+    last = [vf if vf is not None else total if v is None else k + v
+            for v in vals[m]]
+    if n <= 2:
+        return zip(itertools.repeat(d), last)
+    h01, h12 = rows[0][1], rows[1][2]
+    v01, v12 = _val(h01, total), _val(h12, total)
+    # the cross minor h01 h12 - t^{d1} h02 is formed only where its terms
+    # tie below every other 2 x 2 minor, the one case where they can cancel
+    tie = v01 + v12 - d[1] if v01 + v12 < _rest(d, v01, v12) else None
+    keys = []
+    for top, v02 in zip(tops, last):
+        cross = None
+        if v02 == tie:
+            h02 = _shift(ring.normalize(f + top), d[1])
+            cross = _val(ring.sub(ring.mul(h01, h12), h02), total)
+        keys.append((d, v01, v02, v12, cross))
+    return keys
 
 
 def inv_from_standard(lat: LatticeHNF) -> Vec:
-    """Relative position inv(L0, lat)."""
-    return _standard_position(lat.q, lat.window, lat.mat,
-                              lat.diag_exponents())
+    """Relative position inv(L0, lat), by the routes of the module
+    docstring: below rank 4 or at N <= 1, as the one member of a family
+    with m = 0."""
+    n, N, mat, d = lat.n, lat.window, lat.mat, lat.diag_exponents()
+    if n >= 4 and N >= 2:
+        vals = _t_valuations(GF(lat.q), mat, 2 * N + 1, sum(d))
+        return tuple(sorted((v - N for v in vals), reverse=True))
+    [key] = _member_keys(PolyRing(GF(lat.q)), [[None]], n, mat, d,
+                         mat[0][-1], 0)
+    return (_rank_position if n >= 4 else _divisor_position)(N, *key)
 
 
 def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
@@ -393,9 +437,23 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
 
 
 def _census_chunk(args) -> Counter:
+    """Positions over the families of some profiles: every member is keyed
+    by ``_member_keys`` and each distinct key goes through the rule once."""
     n, q, N, chunk = args
-    return Counter(_standard_position(q, N, mat, d)
-                   for mat, d in _walk(n, q, N, chunk))
+    if n >= 4 and N >= 2:
+        return Counter(map(inv_from_standard,
+                           enumerate_lattices(n, q, N, chunk)))
+    ring = PolyRing(GF(q))
+    keys: Counter = Counter()
+    vals = [[_val(u, None) for u in itertools.product(range(q), repeat=m)]
+            for m in range(2 * N + 1)]
+    for family in _families(n, q, N, chunk):
+        keys.update(_member_keys(ring, vals, n, *family))
+    rule = _rank_position if n >= 4 else _divisor_position
+    out: Counter = Counter()
+    for key, count in keys.items():
+        out[rule(N, *key)] += count
+    return out
 
 
 def cell_census(n: int, q: int, N: int, workers: int = 1) -> dict[Vec, int]:
@@ -426,9 +484,8 @@ def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
     """Every lattice of the window, grouped by inv(L0, .): one enumeration
     serves every cell of the window."""
     cells: dict[Vec, list[LatticeHNF]] = {}
-    for mat, d in _walk(n, q, N):
-        cells.setdefault(_standard_position(q, N, mat, d), []).append(
-            LatticeHNF(n, q, N, mat))
+    for lat in enumerate_lattices(n, q, N):
+        cells.setdefault(inv_from_standard(lat), []).append(lat)
     return {lam: tuple(lats) for lam, lats in cells.items()}
 
 

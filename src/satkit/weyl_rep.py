@@ -36,6 +36,7 @@ _AMBIENT_WORD_BUDGET = 5_000_000  # n^d guard for the explicit construction
 _BK_DIM_CAP = 3000  # largest dim L_mu that bk_oracle builds explicitly
 _KOSTANT_WORK_BUDGET = 25_000_000  # coefficient additions in one table fill
 _DIM_BUDGET = 2_000_000  # largest module whose weights or summands we compute
+_RAY_BUDGET = 5_000_000  # Freudenthal ray lookups, estimated before the walk
 
 
 def _form(datum: RootDatum, x: Vec, y: Vec) -> int:
@@ -52,6 +53,12 @@ def weight_multiplicities(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
     if (dim := dim_rep(datum, mu)) > _DIM_BUDGET:
         raise TooLarge(f"dim L_mu = {dim} exceeds budget {_DIM_BUDGET}")
     dom = sorted(datum.dominant_below(mu), key=datum.height2, reverse=True)
+    # a ray runs along a root string of L_mu: at most 1 + <alpha, mu> weights
+    steps = len(dom) * len(datum.positive_coroots) * (1 + max(
+        (datum.pairing(a, mu) for a in datum.positive_roots), default=0))
+    if steps > _RAY_BUDGET:
+        raise TooLarge(f"Freudenthal ray walk estimate {steps} exceeds "
+                       f"budget {_RAY_BUDGET}")
     where = {nu: lam for lam in dom for nu in datum.weyl_orbit(lam)}
     # the ray term B(nu, beta) is nu . (B beta), B beta once per coroot
     rays = [(beta, tuple(sum(map(mul, row, beta)) for row in datum.gram))

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +13,7 @@ import pytest
 from satkit import verlinde as vl
 from satkit import weyl_rep as wr
 from satkit.cli import build_parser, clamp_workers, main, run_certification
+from satkit.root_datum import make_root_datum
 
 
 def run(capsys, *argv):
@@ -187,7 +190,8 @@ def test_empty_box_exits_2(capsys, argv):
     assert out == "" and len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("n,window", [("0", "1"), ("2", "-1"), ("4", "-1")])
+@pytest.mark.parametrize("n,window", [("0", "1"), ("2", "-1"), ("4", "-1"),
+                                      ("-3", "1")])
 def test_oracle_bad_window_exits_2(capsys, n, window):
     code, out, err = run(capsys, "oracle", "--n", n, "--q", "2",
                          "--window", window)
@@ -374,6 +378,24 @@ def test_dominant_walk_bound_exits_3(capsys, argv):
     assert "dominant weights" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "geom --type GL --rank 2 --mu 20000,0",
+    "satake --type GL --rank 2 --mu 20000,0",
+])
+def test_large_gl2_weights_exit_3(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("satkit: budget exceeded: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_gl2_weights_below_the_ray_bound(capsys):
+    code, out, err = run(capsys, *"geom --type GL --rank 2 --mu 1000,0".split())
+    assert code == 0 and "501 strata" in err
+
+
 # sha256 of stdout as recorded at an earlier commit: payloads stay byte-identical
 @pytest.mark.parametrize("argv, digest", [
     ("qanalog --type GL --rank 4 --mu 2,1,1,0 --lam 1,1,1,1 --bk-oracle",
@@ -492,3 +514,101 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# -- seeded awkward requests -----------------------------------------------------
+
+_GOOD_DATA = [("GL", 1), ("GL", 2), ("GL", 3), ("A", 1), ("A", 2), ("B", 2),
+              ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("G", 2)]
+_BAD_DATA = [("GL", 0), ("GL", -1), ("A", 0), ("A", -2), ("B", 1), ("D", 2),
+             ("G", 3), ("E", 6), ("Q", 2), ("", 2)]
+_HUGE = 99999999
+
+
+def _awkward_argv(rng):
+    """About 60 requests, each with at most one awkward argument: negative
+    and zero n, windows and ranks; huge, wrong-length and non-dominant
+    coweights; bad q lists; unsupported types."""
+    def request(fields):
+        odd = rng.randrange(2 * len(fields))   # half the requests are fine
+        return [f"{flag}={rng.choice(bad if k == odd else good)}"
+                for k, (flag, good, bad) in enumerate(fields)]
+
+    def coweights(kind, rank):
+        datum = make_root_datum(f"GL({rank})" if kind == "GL" else
+                                f"{kind}{rank}")
+        box = list(itertools.product(range(-1, 3), repeat=datum.dim))
+        good = [v for v in box if datum.is_dominant(v)]
+        bad = [v for v in box if not datum.is_dominant(v)]
+        bad += [v[:-1] for v in good] + [v + (0,) for v in good]
+        if kind == "GL":   # huge entries, close to central
+            bad += [tuple(x + sign * _HUGE for x in v)
+                    for v in good for sign in (1, -1)]
+        words = [",".join(map(str, v)) for v in good]
+        return words, [",".join(map(str, v)) for v in bad] + [
+            "", "1,x", "1.5", "1,,0", "2;1"]
+
+    out = []
+    for _ in range(12):
+        out.append(["oracle"] + request([
+            ("--n", ["1", "2", "3"], ["-3", "-1", "0"]),
+            ("--q", ["2", "3", "4"], ["1", "0", "6", "-4", "1031", "x"]),
+            ("--window", ["0", "1"], ["-2", "-1"]),
+            ("--workers", ["1"], ["0", "-1"]),
+            ("--conv-bound", ["0"], ["-1"])]))
+    for cmd, weights in [("geom", ["mu"]), ("satake", ["mu"]),
+                         ("qanalog", ["mu", "lam"]),
+                         ("convolve", ["lam", "mu"])]:
+        for _ in range(8):
+            kind, rank = rng.choice(_GOOD_DATA)
+            good, bad = coweights(kind, rank)
+            fields = [(f"--{w}", good, bad) for w in weights]
+            if rng.random() < 0.2:
+                kind, rank = rng.choice(_BAD_DATA)
+                fields = [(f"--{w}", good, good) for w in weights]
+            out.append([cmd, f"--type={kind}", f"--rank={rank}"]
+                       + request(fields))
+    for _ in range(8):
+        low = rng.choice([-1, 0])
+        out.append(["certify"] + request([
+            ("--n", ["1", "2"], ["-1", "0"]),
+            ("--q", ["2", "2,3", "4"],
+             ["1", "0", "-2", "6", "2,2", "2,x", "", "1031", ","]),
+            ("--coord-min", [str(low)], ["3", "99"]),
+            ("--coord-max", [str(low + 1)], [str(low - 1), "-5"])]))
+    for _ in range(8):
+        genus = ("--g", ["0", "2"], ["-1", "x"])
+        out.append(["verlinde"] + rng.choice([
+            request([("--n", ["2", "3"], ["-1", "0", "1"]), genus,
+                     ("--m", ["1", "3"], ["-1", "0"])]),
+            request([("--ade", ["E6", "A2", "D4"], ["E9", "A0", "D2", "X1"]),
+                     genus])]))
+    return out
+
+
+def _own_stderr_lines(err):
+    """stderr lines other than argparse's usage block."""
+    lines, usage = [], False
+    for line in err.splitlines():
+        usage = line.startswith("usage:") or (usage and line[:1].isspace())
+        if not usage:
+            lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_awkward_requests_end_cleanly(capsys, seed):
+    for argv in _awkward_argv(random.Random(seed)):
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the syntax
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"{argv} raised {exc!r}")
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err, argv
+        assert len(_own_stderr_lines(err)) <= 1, (argv, err)
+        assert elapsed < 1.5, (argv, elapsed)

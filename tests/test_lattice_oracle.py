@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -192,13 +193,44 @@ def test_census_reads_the_walk(n, q, N):
                for lam, lats in cells.items() for lat in lats)
 
 
-@pytest.mark.parametrize("n,N", [(0, 1), (2, -1), (4, -1)])
+@pytest.mark.parametrize("n,N", [(0, 1), (2, -1), (4, -1), (-3, 1)])
 def test_census_bad_parameters(n, N):
     for workers in (1, 2):
         with pytest.raises(DomainError,
                            match=f"^bad enumeration parameters n={n}, "
                                  f"N={N}$"):
             lo.cell_census(n, 2, N, workers=workers)
+
+
+# sha256 of repr(list(enumerate_lattices(*window))) as recorded at an earlier
+# commit: every consumer of the walk sees the lattices in this order
+@pytest.mark.parametrize("window, digest", [
+    ((2, 4, 2),
+     "6184539415256f5abba7da1abdb9168c5fbf95905a9afbeb72d79fdd71e0b939"),
+    ((3, 3, 1),
+     "7684efd4d323444bc7becc604526a13c5035107594bcd22764143853ee1fb302"),
+    ((4, 2, 1),
+     "6d7d96ddae01d837585ab67c2164d120475131913b96c839cab33c7dec13ca40"),
+])
+def test_walk_order_is_pinned(window, digest):
+    lats = repr(list(lo.enumerate_lattices(*window))).encode()
+    assert hashlib.sha256(lats).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,q,N", WALK_CASES + [(3, 3, 1)])
+def test_census_matches_the_kernel_route(n, q, N):
+    """The census reads positions off valuations per family; the column
+    solve and the Smith kernel of relative_position are a route that shares
+    neither the divisor rule nor the rank rule.  (3, 3, 1) has members whose
+    cross minor cancels."""
+    std = lo.t_power_lattice((0,) * n, q, N)
+    ref = Counter(lo.relative_position(std, lat)
+                  for lat in lo.enumerate_lattices(n, q, N))
+    assert lo.cell_census(n, q, N) == ref
+    if (n, q, N) == (3, 3, 1):
+        ring = PolyRing(GF(q))
+        assert any(_cross_minor_cancels(ring, lat)
+                   for lat in lo.enumerate_lattices(n, q, N))
 
 
 def test_column_walk_prunes(monkeypatch):
@@ -442,24 +474,31 @@ def test_valuation_sum_guard(monkeypatch):
 
 
 def test_rank_rule_guard(monkeypatch):
-    """A rank mod t that no valuations in {0, 1, 2} can meet is caught: full
-    rank with val det 4 leaves -4 ones, rank 0 with val det 0 leaves -4
-    twos."""
+    """A rank mod t that no valuations in {0, 1, 2} can meet is caught, by
+    inv_from_standard and by the census: full rank with val det 4 leaves -4
+    ones, rank 0 with val det 0 leaves -4 twos."""
     monkeypatch.setattr(lo, "_rank_mod_t", lambda field, mat: len(mat))
     with pytest.raises(InternalInconsistency, match="rank 4 of H mod t"):
         lo.inv_from_standard(lo.t_power_lattice((1, 0, 0, -1), 3, 1))
+    with pytest.raises(InternalInconsistency, match="rank 4 of H mod t"):
+        lo.cell_census(4, 2, 1)
     monkeypatch.setattr(lo, "_rank_mod_t", lambda field, mat: 0)
     with pytest.raises(InternalInconsistency, match="rank 0 of H mod t"):
         lo.inv_from_standard(lo.t_power_lattice((-1, -1, -1, -1), 3, 1))
+    with pytest.raises(InternalInconsistency, match="rank 0 of H mod t"):
+        lo.cell_census(4, 2, 1)
 
 
 def test_divisor_chain_guard(monkeypatch):
-    """Determinantal divisors whose differences decrease are caught."""
+    """Determinantal divisors whose differences decrease are caught, by
+    inv_from_standard and by the census."""
     monkeypatch.setattr(lo, "_hermite_divisors",
-                        lambda q, mat, d: [2, 3, 6][:len(d)])
+                        lambda d, *vals: [2, 3, 6][:len(d)])
     for mu in [(1, -1), (1, 0, -1)]:
         with pytest.raises(InternalInconsistency, match="divisor chain"):
             lo.inv_from_standard(lo.t_power_lattice(mu, 3, 1))
+        with pytest.raises(InternalInconsistency, match="divisor chain"):
+            lo.cell_census(len(mu), 3, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3])

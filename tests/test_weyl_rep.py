@@ -113,6 +113,29 @@ def test_weight_multiplicities_match_the_ray_walk(label):
                 == list(ray_walk_multiplicities(datum, mu).items())), mu
 
 
+@pytest.mark.parametrize("label", REFERENCE_LABELS)
+def test_ray_walk_estimate_covers_the_walk(label, monkeypatch):
+    """The estimate that weight_multiplicities checks before its Freudenthal
+    walk is at least the number of ray lookups the walk makes: one per
+    weight on each ray from a non-top dominant weight, plus the miss that
+    ends the ray."""
+    datum, mus = reference_highest_weights(label)
+    for mu in mus:
+        weights = wr.weight_multiplicities(datum, mu)
+        steps = 0
+        for lam in datum.dominant_below(mu)[:-1]:
+            for beta in datum.positive_coroots:
+                nu = tuple(a + b for a, b in zip(lam, beta))
+                while nu in weights:
+                    steps += 1
+                    nu = tuple(a + b for a, b in zip(nu, beta))
+                steps += 1
+        monkeypatch.setattr(wr, "_RAY_BUDGET", steps - 1)
+        with pytest.raises(TooLarge, match="Freudenthal ray walk"):
+            wr.weight_multiplicities(datum, mu)
+        monkeypatch.undo()
+
+
 def test_dim_rep():
     assert wr.dim_rep(GL2, (2, 0)) == 3
     assert wr.dim_rep(GL3, (1, 0, -1)) == 8
