@@ -5,19 +5,14 @@ every matrix is over the polynomial ring GF(q)[t]; each lattice is stored
 as its unique column-style Hermite normal form (upper triangular, diagonal
 t^d_i with 0 <= d_i <= 2N, entries right of a pivot reduced modulo it).
 The enumeration generates only the columns that keep t^{2N} L0 inside the
-form, so no candidate is rejected.  Relative positions are Smith valuations
-over GF(q)[[t]].  For a window lattice of rank n <= 3 they are read off its
-Hermite form H: the first k valuations sum to the least valuation of a
-k x k minor, and they must form a divisor chain.  At rank >= 4 and N <= 1
-they lie in {0, 1, 2}, the rank of H mod t counts the zeros, and their sum
-val det H fixes the rest.  Otherwise (and in ``relative_position`` and
-``elementary_divisors``) one local kernel finds them in GF(q)[t]/(t^P) for
-a P above every valuation that can occur, and their sum is checked against
-the valuation of the determinant.
-
-The walk yields families that share all but the last free entry H[0][n-1].
-The census visits every member, keys it by what alone varies (val H[0][n-1]
-or its constant term) and applies the position rule once per distinct key.
+form, so no candidate is rejected, in families that differ only in H[0][n-1].
+Relative positions are Smith valuations over GF(q)[[t]].  Below rank 4 the
+first k sum to the least valuation of a k x k minor of the Hermite form H
+(a divisor chain); at rank >= 4 and N <= 1 they lie in {0, 1, 2}, the rank
+of H mod t counts the zeros and val det H fixes the rest.  In a family these
+move only with val H[0][n-1] or its constant term.  Otherwise (and in
+``relative_position`` and ``elementary_divisors``) one local kernel finds
+them mod t^P, P above every valuation that can occur, checked by val det.
 """
 
 from __future__ import annotations
@@ -143,7 +138,7 @@ def _profiles(n: int, N: int) -> Iterator[tuple[int, ...]]:
 
 def _families(n: int, q: int, N: int,
               profiles: Profiles = None) -> Iterator[tuple]:
-    """The walk over every window lattice, split at its last free entry.
+    """The walk over every window lattice, in families.
 
     Iterates diagonal exponent profiles, then generates the entries above
     the diagonal column by column, only ever producing valid columns: a
@@ -152,12 +147,10 @@ def _families(n: int, q: int, N: int,
     reads t^{d_i} x_i + acc_i + H[i][j] t^s = 0, where acc_i sums the terms
     of rows already fixed (solved from j - 1 upward).  So acc_i must vanish
     below min(s, d_i), the coefficients of H[i][j] below d_i - s are forced
-    to cancel acc_i, the top min(s, d_i) are free, and x_i is a shift.
-
-    H[0][n-1] is the innermost choice: this yields families (rows, d, f, m)
-    whose members set H[0][n-1] = f + t^{len f} u for each u of degree < m,
-    in ``itertools.product`` order (at n = 1, f = H[0][0] and m = 0).  The
-    lists in ``rows`` hold every other entry until the generator resumes.
+    to cancel acc_i, the top min(s, d_i) are free, and x_i is a shift.  A
+    family (rows, d, f, m) sets the last free entry H[0][n-1] to f +
+    t^{len f} u for each u of degree < m, in ``itertools.product`` order
+    (n = 1: f = H[0][0], m = 0); ``rows`` holds the rest till resumed.
     """
     if profiles is None:
         _check_budget(n, q, N)
@@ -202,21 +195,25 @@ def _families(n: int, q: int, N: int,
     for dexp in profiles:
         rows = [[ring.t_power(d) if i == j else () for j in range(n)]
                 for i, d in enumerate(dexp)]
-        if n == 1:
-            yield rows, dexp, rows[0][0], 0
-        else:
-            yield from fill(rows, dexp, 1)
+        yield from fill(rows, dexp, 1) if n > 1 else [(rows, dexp,
+                                                       rows[0][0], 0)]
 
 
 def enumerate_lattices(n: int, q: int, N: int, profiles: Profiles = None,
                        ) -> Iterator[LatticeHNF]:
-    """Every lattice of the window exactly once: the members of the
-    families of ``_families``, in order."""
-    normalize = PolyRing(GF(q)).normalize
-    for rows, d, f, m in _families(n, q, N, profiles):
-        head, tail = tuple(rows[0][:-1]), tuple(map(tuple, rows[1:]))
-        for top in itertools.product(range(q), repeat=m):
-            yield LatticeHNF(n, q, N, (head + (normalize(f + top),),) + tail)
+    """Every lattice of the window once: the members of each family."""
+    ring = PolyRing(GF(q))
+    for family in _families(n, q, N, profiles):
+        yield from _members(ring, N, *family)
+
+
+def _members(ring: PolyRing, N: int, rows: Sequence[Sequence[Poly]], d: Vec,
+             f: Poly, m: int) -> Iterator[LatticeHNF]:
+    """The lattices of one family of ``_families``, in order."""
+    head, tail = tuple(rows[0][:-1]), tuple(map(tuple, rows[1:]))
+    return (LatticeHNF(len(d), ring.field.q, N,
+                       (head + (ring.normalize(f + top),),) + tail)
+            for top in itertools.product(range(ring.field.q), repeat=m))
 
 
 def _local_valuations(field: GF, mat: Sequence[Sequence[Poly]],
@@ -316,24 +313,20 @@ def _val(h: Poly, absent: int) -> int:
     return absent
 
 
-def _rest(d: Sequence[int], v01: int, v12: int) -> int:
-    """Least valuation of a rank-3 2 x 2 minor but h01 h12 - t^{d1} h02."""
-    d0, d1, d2 = d
-    return min(d0 + d1, d0 + v12, d0 + d2, v01 + d2, d1 + d2)
-
-
-def _hermite_divisors(d: Sequence[int], v01: int = 0, v02: int = 0,
-                      v12: int = 0, cross: Optional[int] = None) -> list[int]:
-    """val Δ_k, the least valuation of a k x k minor, k = 1..n <= 3, from d
-    and v_ij = val H[i][j] (Σd for 0): with a diagonal of powers of t, every
-    minor but the cross minor is a monomial times at most one entry, and
-    that one is its lesser term unless its valuation ``cross`` is given."""
+def _hermite_divisors(d: Sequence[int], v: int, cross: Optional[int] = None,
+                      v01: int = 0, v12: int = 0) -> list[int]:
+    """val Δ_k, the least valuation of a k x k minor, k <= n <= 3, from d,
+    v = val H[0][n-1] and v_ij = val H[i][j] (Σd for 0).  Every minor but
+    h01 h12 - t^{d1} h02 is a power of t times at most one entry; that one
+    is its lesser term unless its valuation ``cross`` is given."""
     total = sum(d)
     if len(d) < 3:
-        return [min(d[0], d[1], v01), total] if len(d) == 2 else [total]
+        return [min(d[0], d[1], v), total] if len(d) == 2 else [total]
+    d0, d1, d2 = d
     if cross is None:
-        cross = min(v01 + v12, d[1] + v02)
-    return [min(*d, v01, v02, v12), min(_rest(d, v01, v12), cross), total]
+        cross = min(v01 + v12, d1 + v)
+    return [min(*d, v01, v, v12), min(d0 + d1, d0 + v12, d0 + d2,
+                                      v01 + d2, d1 + d2, cross), total]
 
 
 def _divisor_position(N: int, d: Sequence[int], *vals) -> Vec:
@@ -361,57 +354,52 @@ def _rank_mod_t(f: GF, mat: Matrix) -> int:
     return rank
 
 
-def _rank_position(N: int, n: int, total: int, r: int) -> Vec:
-    """inv(L0, L) at rank n >= 4, N <= 1 from r = rank H mod t, val det H."""
-    twos, ones = total - n + r, 2 * (n - r) - total
-    if twos < 0 or ones < 0:
-        raise InternalInconsistency(f"rank {r} of H mod t and val det "
-                                    f"{total} fit no window lattice")
-    return (2 - N,) * twos + (1 - N,) * ones + (-N,) * r
-
-
-def _member_keys(ring: PolyRing, vals: Sequence[list], n: int,
-                 rows: Sequence[Sequence[Poly]], d: tuple[int, ...], f: Poly,
-                 m: int) -> Iterable[tuple]:
-    """What inv(L0, .) of each member of a family of ``_families`` depends
-    on, in order, given val u for each u of degree < m in ``vals[m]``."""
-    total, tops = sum(d), itertools.product(range(ring.field.q), repeat=m)
-    if n >= 4:   # N <= 1: rank H mod t once per constant term of H[0][n-1]
-        consts = [f[0] if f else top[0] if top else 0 for top in tops]
-        ranks = {c: _rank_mod_t(ring.field, [[*rows[0][:-1], (c,)],
-                                             *rows[1:]]) for c in set(consts)}
-        return [(n, total, ranks[c]) for c in consts]
+def _positions(ring: PolyRing, memo: dict, N: int, rows: Sequence[Sequence],
+               d: Vec, f: Poly, m: int) -> list[Vec]:
+    """inv(L0, .) of each family member in order; ``memo`` spans one walk."""
+    n, total, q = len(d), sum(d), ring.field.q
+    tops = itertools.product(range(q), repeat=m)
+    if n >= 4 and N >= 2:   # the local kernel, per member
+        return [tuple(sorted((v - N for v in _t_valuations(
+            ring.field, lat.mat, 2 * N + 1, total)), reverse=True))
+            for lat in _members(ring, N, rows, d, f, m)]
+    if n >= 4:   # N <= 1: valuations in {0, 1, 2}; rank H mod t counts 0s
+        keys, pos = [f[0] if f else top[0] if top else 0 for top in tops], {}
+        for c in set(keys):
+            r = _rank_mod_t(ring.field, [[*rows[0][:-1], (c,)], *rows[1:]])
+            twos, ones = total - n + r, 2 * (n - r) - total
+            if twos < 0 or ones < 0:
+                raise InternalInconsistency(f"rank {r} of H mod t and val det "
+                                            f"{total} fit no window lattice")
+            pos[c] = (2 - N,) * twos + (1 - N,) * ones + (-N,) * r
+        return [pos[c] for c in keys]
+    # val (f + t^k u) over u in product order: u = 0, then by val u
     vf, k = _val(f, None), len(f)
-    last = [vf if vf is not None else total if v is None else k + v
-            for v in vals[m]]
-    if n <= 2:
-        return zip(itertools.repeat(d), last)
-    h01, h12 = rows[0][1], rows[1][2]
-    v01, v12 = _val(h01, total), _val(h12, total)
-    # the cross minor h01 h12 - t^{d1} h02 is formed only where its terms
-    # tie below every other 2 x 2 minor, the one case where they can cancel
-    tie = v01 + v12 - d[1] if v01 + v12 < _rest(d, v01, v12) else None
-    keys = []
-    for top, v02 in zip(tops, last):
-        cross = None
-        if v02 == tie:
-            h02 = _shift(ring.normalize(f + top), d[1])
-            cross = _val(ring.sub(ring.mul(h01, h12), h02), total)
-        keys.append((d, v01, v02, v12, cross))
-    return keys
+    vals = [total] if vf is None else [vf] * q ** m
+    for v in reversed(range(k, k + m) if vf is None else ()):
+        vals += [v] * ((q - 1) * len(vals))
+    keys, fixed = list(zip(vals, itertools.repeat(None))), ()
+    if n == 3:
+        fixed = v01, v12 = _val(rows[0][1], total), _val(rows[1][2], total)
+        # h01 h12 - t^{d1} h02 may cancel on a tie below Δ_2 at v = cross = Σd
+        tie = v01 + v12 - d[1]
+        ties = tie in vals and v01 + v12 < _hermite_divisors(
+            d, total, total, v01, v12)[1]
+        for i, top in enumerate(tops if ties else ()):
+            if vals[i] == tie:
+                h02 = _shift(ring.normalize(f + top), d[1])
+                cross = ring.sub(ring.mul(rows[0][1], rows[1][2]), h02)
+                keys[i] = (tie, _val(cross, total))
+    pos = memo.setdefault(d + fixed, {})
+    for key in set(keys).difference(pos):
+        pos[key] = _divisor_position(N, d, *key, *fixed)
+    return list(map(pos.__getitem__, keys))
 
 
 def inv_from_standard(lat: LatticeHNF) -> Vec:
-    """Relative position inv(L0, lat), by the routes of the module
-    docstring: below rank 4 or at N <= 1, as the one member of a family
-    with m = 0."""
-    n, N, mat, d = lat.n, lat.window, lat.mat, lat.diag_exponents()
-    if n >= 4 and N >= 2:
-        vals = _t_valuations(GF(lat.q), mat, 2 * N + 1, sum(d))
-        return tuple(sorted((v - N for v in vals), reverse=True))
-    [key] = _member_keys(PolyRing(GF(lat.q)), [[None]], n, mat, d,
-                         mat[0][-1], 0)
-    return (_rank_position if n >= 4 else _divisor_position)(N, *key)
+    """Relative position inv(L0, lat): the one member of a family."""
+    return _positions(PolyRing(GF(lat.q)), {}, lat.window, lat.mat,
+                      lat.diag_exponents(), lat.mat[0][-1], 0)[0]
 
 
 def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
@@ -437,22 +425,10 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
 
 
 def _census_chunk(args) -> Counter:
-    """Positions over the families of some profiles: every member is keyed
-    by ``_member_keys`` and each distinct key goes through the rule once."""
     n, q, N, chunk = args
-    if n >= 4 and N >= 2:
-        return Counter(map(inv_from_standard,
-                           enumerate_lattices(n, q, N, chunk)))
-    ring = PolyRing(GF(q))
-    keys: Counter = Counter()
-    vals = [[_val(u, None) for u in itertools.product(range(q), repeat=m)]
-            for m in range(2 * N + 1)]
+    ring, memo, out = PolyRing(GF(q)), {}, Counter()
     for family in _families(n, q, N, chunk):
-        keys.update(_member_keys(ring, vals, n, *family))
-    rule = _rank_position if n >= 4 else _divisor_position
-    out: Counter = Counter()
-    for key, count in keys.items():
-        out[rule(N, *key)] += count
+        out.update(_positions(ring, memo, N, *family))
     return out
 
 
@@ -481,11 +457,12 @@ def count_cell(mu: Vec, q: int, N: int, workers: int = 1) -> int:
 
 @lru_cache(maxsize=64)
 def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
-    """Every lattice of the window, grouped by inv(L0, .): one enumeration
-    serves every cell of the window."""
-    cells: dict[Vec, list[LatticeHNF]] = {}
-    for lat in enumerate_lattices(n, q, N):
-        cells.setdefault(inv_from_standard(lat), []).append(lat)
+    """Every lattice of the window, grouped by inv(L0, .), in walk order."""
+    ring, memo, cells = PolyRing(GF(q)), {}, {}
+    for family in _families(n, q, N):
+        for lat, pos in zip(_members(ring, N, *family),
+                            _positions(ring, memo, N, *family)):
+            cells.setdefault(pos, []).append(lat)
     return {lam: tuple(lats) for lam, lats in cells.items()}
 
 

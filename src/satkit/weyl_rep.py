@@ -57,8 +57,7 @@ def weight_multiplicities(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
     steps = len(dom) * len(datum.positive_coroots) * (1 + max(
         (datum.pairing(a, mu) for a in datum.positive_roots), default=0))
     if steps > _RAY_BUDGET:
-        raise TooLarge(f"Freudenthal ray walk estimate {steps} exceeds "
-                       f"budget {_RAY_BUDGET}")
+        raise TooLarge(f"Freudenthal ray walk {steps} > budget {_RAY_BUDGET}")
     where = {nu: lam for lam in dom for nu in datum.weyl_orbit(lam)}
     # the ray term B(nu, beta) is nu . (B beta), B beta once per coroot
     rays = [(beta, tuple(sum(map(mul, row, beta)) for row in datum.gram))

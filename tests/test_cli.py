@@ -556,6 +556,9 @@ def _awkward_argv(rng):
             ("--window", ["0", "1"], ["-2", "-1"]),
             ("--workers", ["1"], ["0", "-1"]),
             ("--conv-bound", ["0"], ["-1"])]))
+    for _ in range(3):   # at n = 1 a wide window holds only 2N + 1 lattices
+        out.append(["oracle", "--n=1", f"--q={rng.choice(['2', '1021'])}",
+                    f"--window={rng.choice(['2', '30', '400'])}"])
     for cmd, weights in [("geom", ["mu"]), ("satake", ["mu"]),
                          ("qanalog", ["mu", "lam"]),
                          ("convolve", ["lam", "mu"])]:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -191,6 +192,20 @@ def test_census_reads_the_walk(n, q, N):
     assert {lam: len(lats) for lam, lats in cells.items()} == ref
     assert all(lo.inv_from_standard(lat) == lam
                for lam, lats in cells.items() for lat in lats)
+
+
+@pytest.mark.parametrize("q,N", [(2, 30), (1021, 2), (2, 10)])
+def test_rank_one_census_is_immediate(q, N):
+    """At n = 1 the window holds 2N + 1 lattices, each a family of one, so
+    nothing in the census may grow like q^(2N): (2, 30) and (1021, 2) pass
+    the budget, and work over every u of degree up to 2N would not end."""
+    start = time.perf_counter()
+    census = lo.cell_census(1, q, N)
+    assert lo.count_cell((N,), q, N) == 1
+    assert time.perf_counter() - start < 1.0
+    assert census == {(k,): 1 for k in range(-N, N + 1)}
+    assert census == Counter(map(lo.inv_from_standard,
+                                 lo.enumerate_lattices(1, q, N)))
 
 
 @pytest.mark.parametrize("n,N", [(0, 1), (2, -1), (4, -1), (-3, 1)])
