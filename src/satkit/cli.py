@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import hecke_satake as hs
@@ -26,10 +27,14 @@ from . import weyl_rep as wr
 from .errors import (DomainError, IntegralityFailure, InternalInconsistency,
                      NonPolynomialCount, SatkitError, ShapeError, TooLarge,
                      UnsupportedType)
+from .finite_field import GF, PolyRing
 from .root_datum import (Dominance, RootDatum, Vec, dominant_coweights_in_box,
                          make_root_datum)
 
 SCHEMA = "satkit/1"
+# certify refuses a box whose brute side is estimated above this: per row
+# (q, lam, mu, nu), lam's candidate forms times (4N + 1)^2, N = max |lam, nu|
+_CERTIFY_WORK = 2 * 10 ** 9
 
 
 def _parse_coweight(text: str) -> Vec:
@@ -54,8 +59,29 @@ def _datum(args) -> RootDatum:
     return make_root_datum(f"{label}{args.rank}")
 
 
+def _json(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2), byte for byte, in one recursive pass: with an
+    indent, json.dumps takes its pure-Python encoder."""
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    if type(x) is int:
+        return repr(x)
+    if type(x) is bool:
+        return "true" if x else "false"
+    if not x or not isinstance(x, (list, tuple, dict)):
+        return json.dumps(x)   # None, floats and empty containers
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = [f"{_json(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{repr(v) if type(v) is int else _json(v, inner)}"
+                 for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    items = [repr(v) if type(v) is int else _json(v, inner) for v in x]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _emit(payload: dict, summary: str = "") -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_json(payload) + "\n")
     if summary:
         print(summary, file=sys.stderr)
 
@@ -173,7 +199,6 @@ def _poly_matmul(ring, a, b):
 
 def _oracle_selftest(n: int, q: int, N: int, rng: random.Random) -> dict:
     """Randomized invariance checks, reproducible through --seed."""
-    from .finite_field import GF, PolyRing
     ring = PolyRing(GF(q))
     checks = {"divisor_invariance": True, "duality": True}
     for _ in range(5):
@@ -230,13 +255,22 @@ def run_certification(n: int, q_list: Sequence[int], coord_min: int,
         raise DomainError(f"empty coordinate box [{coord_min}, {coord_max}]"
                           ": nothing to certify")
     datum = make_root_datum(f"GL({n})")
+    for q in q_list:   # a bad q is a usage error, whatever the estimate
+        GF(q)
     doms = list(dominant_coweights_in_box(datum, coord_min, coord_max))
-    rows = []
-    all_match = True
+    plan, work = [], 0
     for lam, mu in itertools.product(doms, repeat=2):
+        nus = datum.dominant_below(tuple(a + b for a, b in zip(lam, mu)))
+        plan.append((lam, mu, nus))
+        forms = sum(lo.candidate_count(n, q, max(map(abs, lam)))
+                    for q in q_list)
+        work += forms * sum((4 * max(map(abs, lam + nu)) + 1) ** 2
+                            for nu in nus)
+        if work > _CERTIFY_WORK:
+            raise TooLarge(f"certify work estimate exceeds {_CERTIFY_WORK}")
+    rows, all_match = [], True
+    for lam, mu, admissible in plan:
         product = hs.convolve_basis(datum, lam, mu)
-        total = tuple(a + b for a, b in zip(lam, mu))
-        admissible = datum.dominant_below(total)
         for q in q_list:
             values = hs.evaluate_at(datum, product, q)
             for nu in admissible:

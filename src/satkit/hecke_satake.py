@@ -4,6 +4,8 @@ Satake transform to virtual characters of the dual group.
 Coefficients live in Z[v, v^-1] with v standing for -q^(1/2); the transform
 sends f_mu to v^<2rho,mu> chi_mu, and convolution is computed through the
 character ring, where multiplication is a tensor-product decomposition.
+S(c_mu) is memoized per (datum, mu), by back-substitution in height order
+(decreasing <2rho,lam>); the transform is linear over that memo.
 Coefficients of c-basis products are asserted to be polynomials in q = v^2
 with nonnegative integer coefficients; a violation raises
 InternalInconsistency because it signals a wrong normalization, not bad input.
@@ -97,21 +99,30 @@ def ic_function(datum: RootDatum, mu: Vec) -> HeckeElement:
     return HeckeElement(datum, coeffs)
 
 
+@lru_cache(maxsize=4096)
+def _basis_transform(datum: RootDatum, mu: Vec) -> VirtualCharacter:
+    """S(c_mu), back-substituted into {f_lam} with lam in decreasing
+    (<2rho,lam>, lam) order; the result is shared, so read it only."""
+    rest, out = {mu: Laurent.ONE}, {}
+    for lam in reversed(datum.dominant_below(mu)):
+        c = rest.pop(lam, None)
+        if c:
+            out[lam] = c.shifted(datum.height2(lam))
+            for nu, a in ic_function(datum, lam).coeffs.items():
+                if nu != lam:
+                    rest[nu] = rest.get(nu, Laurent.ZERO) - c * a
+    return VirtualCharacter(datum, out)
+
+
 def satake_transform(datum: RootDatum, h: HeckeElement) -> VirtualCharacter:
-    """Rewrite h in the basis {f_mu} by unitriangular back-substitution down
-    the dominance order, then apply f_mu -> v^<2rho,mu> chi_mu."""
-    rest = dict(h.coeffs)
+    """S(h) = sum over mu of h_mu S(c_mu), each S(c_mu) memoized; a basis
+    element gets the shared memo entry itself, so read the result only."""
+    if len(h.coeffs) == 1 and Laurent.ONE in h.coeffs.values():
+        return _basis_transform(datum, *h.coeffs)
     out: dict[Vec, Laurent] = {}
-    while rest:
-        mu = max(rest, key=lambda m: (datum.height2(m), m))
-        c = rest.pop(mu)
-        if c.is_zero:
-            continue
-        out[mu] = out.get(mu, Laurent.ZERO) + c.shifted(datum.height2(mu))
-        for lam, a in ic_function(datum, mu).coeffs.items():
-            if lam == mu:
-                continue
-            rest[lam] = rest.get(lam, Laurent.ZERO) - c * a
+    for mu, c in h.coeffs.items():
+        for lam, s in _basis_transform(datum, mu).coeffs.items():
+            out[lam] = out.get(lam, Laurent.ZERO) + c * s
     return VirtualCharacter(datum, out)
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from satkit import verlinde as vl
 from satkit import weyl_rep as wr
-from satkit.cli import build_parser, clamp_workers, main, run_certification
+from satkit.cli import (_json, build_parser, clamp_workers, main,
+                         run_certification)
 from satkit.root_datum import make_root_datum
 
 
@@ -203,7 +204,9 @@ def test_oracle_bad_window_exits_2(capsys, n, window):
 @pytest.mark.parametrize("argv", [
     ["certify", "--n", "2", "--q", "1031", "--bound", "0"],
     ["oracle", "--n", "1", "--q", "1031", "--window", "0"],
-], ids=["certify", "oracle"])
+    # a bad field exits 2 even where the work estimate would also refuse
+    ["certify", "--n", "2", "--q", "1031", "--bound", "1"],
+], ids=["certify", "oracle", "certify_before_estimate"])
 def test_field_too_large_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -508,6 +511,55 @@ def test_json_deterministic(capsys):
     _, out2, _ = run(capsys, "convolve", "--type", "GL", "--rank", "2",
                      "--lam", "1,-1", "--mu", "1,-1")
     assert out1 == out2
+
+
+def test_writer_matches_json_dumps():
+    shapes = [[], {}, [[], [[1, [2, []]], [-3]]], {"a": {}, "b": [[0], []]},
+              -7, 10 ** 60, -(10 ** 60), 0.0, True, False, None,
+              "Gr\u00e4ssmann \u2113 \"q\"\n",
+              {"rows": [{"match": True, "x": None, "r": 0.0, "s": "\u00e9"}]}]
+    for x in shapes:
+        assert _json(x) == json.dumps(x, indent=2), x
+
+
+@pytest.mark.parametrize("argv", [
+    "geom --type GL --rank 2 --mu 2,0",
+    "qanalog --type GL --rank 3 --mu 2,1,0 --lam 1,1,1 --bk-oracle",
+    "convolve --type GL --rank 2 --lam 1,-1 --mu 1,-1",
+    "satake --type G --rank 2 --mu 1,0",
+    "oracle --n 2 --q 2 --window 1 --selftest",
+    "certify --n 2 --q 2,3 --bound 1",
+    "verlinde --n 2 --g 1 --m 3",
+])
+def test_payload_is_json_dumps_with_indent(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_certify_wide_box_exits_3(capsys):
+    # every GL(1) pair, in windows up to N = 200: tens of seconds of brute
+    # work below every other budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, *"certify --n 1 --q 2,3 --coord-min -100 "
+                                  "--coord-max 0".split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("satkit: budget exceeded: certify work estimate")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("n, q_list, box", [
+    (2, (2, 3, 4, 5, 7), (-2, 2)),   # the ROADMAP baseline
+    (3, (2, 3), (0, 1)),
+])
+def test_certify_work_estimate_admits(monkeypatch, n, q_list, box):
+    import satkit.cli as cli_mod
+
+    # with the brute side stubbed out, only the estimate could refuse
+    monkeypatch.setattr(cli_mod.lo, "brute_convolution",
+                        lambda lam, mu, nu, q: 0)
+    assert run_certification(n, q_list, *box)["rows"]
 
 
 def test_usage_error_exits_2():

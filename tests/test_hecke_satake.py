@@ -1,5 +1,10 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -97,6 +102,51 @@ def test_satake_round_trip_random():
             assert hs.inverse_satake(d, hs.satake_transform(d, h)) == h
             chi = hs.VirtualCharacter(d, coeffs)
             assert hs.satake_transform(d, hs.inverse_satake(d, chi)) == chi
+
+
+def _satake_by_max_scan(d, h):
+    """S(h) by the plain back-substitution: each step takes the highest
+    pending weight with a max() over all of them."""
+    rest, out = dict(h.coeffs), {}
+    while rest:
+        mu = max(rest, key=lambda m: (d.height2(m), m))
+        c = rest.pop(mu)
+        if c:
+            out[mu] = c.shifted(d.height2(mu))
+            for lam, a in hs.ic_function(d, mu).coeffs.items():
+                if lam != mu:
+                    rest[lam] = rest.get(lam, Laurent.ZERO) - c * a
+    return hs.VirtualCharacter(d, out)
+
+
+@pytest.mark.parametrize("label, lo, hi", [
+    ("GL(3)", -1, 2), ("B2", 0, 3), ("C2", 0, 3), ("G2", 0, 2)])
+def test_satake_transform_matches_max_scan(label, lo, hi):
+    d = make_root_datum(label)
+    doms = list(dominant_coweights_in_box(d, lo, hi))
+    for mu in doms:
+        c = hs.c_basis(d, mu)
+        assert hs.satake_transform(d, c) == _satake_by_max_scan(d, c), mu
+    rng = random.Random(5)
+    for _ in range(10):   # linearity over the memo of basis transforms
+        coeffs = {mu: Laurent(rng.randrange(-2, 3),
+                              [rng.randrange(-3, 4) for _ in range(2)])
+                  for mu in rng.sample(doms, k=min(4, len(doms)))}
+        h = hs.HeckeElement(d, coeffs)
+        assert hs.satake_transform(d, h) == _satake_by_max_scan(d, h)
+
+
+def test_satake_gl2_long_ray_is_quick():
+    # the max() scan took 5-8 s here; height order takes one pass
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "satkit.cli", "satake", "--type", "GL",
+         "--rank", "2", "--mu", "6000,0"],
+        capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 3.0
 
 
 def test_convolution_frozen_examples():

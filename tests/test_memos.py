@@ -31,6 +31,7 @@ def test_every_memo_is_bounded():
     assert {"root_datum._gl_datum", "root_datum._simple_datum",
             "weyl_rep._kostant_table", "weyl_rep._explicit_module",
             "hecke_satake.ic_function", "hecke_satake._tensor",
+            "hecke_satake._basis_transform",
             "lattice_oracle._window_cells",
             "lattice_oracle._convolution_histogram",
             "finite_field.GF", "verlinde._histograms",
