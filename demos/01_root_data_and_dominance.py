@@ -28,9 +28,11 @@ verdict = gl3.dominance_leq((0, 0, 0), (1, 0, 0))
 assert verdict is Dominance.INCOMPARABLE_COMPONENTS
 print("(0,0,0) vs (1,0,0):", verdict.value)
 
-# Every coweight has a unique dominant representative in its Weyl orbit.
-mu, w = gl3.dominant_representative((0, 1, 2))
-print("dominant representative of (0,1,2):", mu, "via", w, f"(length {w.length})")
+# Every coweight has a unique dominant representative in its Weyl orbit,
+# reached by a reduced word of simple reflections, applied left to right.
+mu, word = gl3.dominant_representative((0, 1, 2))
+print("dominant representative of (0,1,2):", mu, "via word", word,
+      f"(length {len(word)})")
 print("orbit of (1,1,0):", sorted(gl3.weyl_orbit((1, 1, 0))))
 
 # The finite set of dominant coweights below a given one, by cell dimension.

@@ -26,8 +26,9 @@ for lam in gl3.dominant_below(mu):
     a = wr.ic_stalk_polynomial(gl3, mu, lam)
     print(f"  lam={lam}: multiplicity {mults[lam]}, m = {m}, stalk a = {a}")
 
-# The same grading read off of an explicit module: generate L_mu from its
-# highest-weight vector by lowering operators, then filter each weight
+# The same grading read off of an explicit module: generate L_mu by
+# lowering operators from its highest-weight vector, the tensor product of
+# one wedge e_0 ^ ... ^ e_(c-1) per column of mu, then filter each weight
 # space by kernels of powers of N = sum of raising operators.
 print("\nexplicit filtration oracle agrees:")
 for lam in gl3.dominant_below(mu):

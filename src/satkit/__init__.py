@@ -10,8 +10,8 @@ from .errors import (DomainError, EmptyFiber, EmptyIntersection,
                      NonPolynomialCount, SatkitError, ShapeError,
                      SingularMatrix, TooLarge, UnsupportedType, WindowError)
 from .polynomials import Laurent, QPoly
-from .root_datum import (Dominance, RootDatum, WeylElement,
-                         dominant_coweights_in_box, make_root_datum)
+from .root_datum import (Dominance, RootDatum, dominant_coweights_in_box,
+                         make_root_datum)
 
 __version__ = "0.1.0"
 
@@ -19,7 +19,6 @@ __all__ = [
     "Dominance", "DomainError", "EmptyFiber", "EmptyIntersection",
     "IntegralityFailure", "InternalInconsistency", "Laurent",
     "NonPolynomialCount", "QPoly", "RootDatum", "SatkitError", "ShapeError",
-    "SingularMatrix", "TooLarge", "UnsupportedType", "WeylElement",
-    "WindowError", "dominant_coweights_in_box", "make_root_datum",
-    "__version__",
+    "SingularMatrix", "TooLarge", "UnsupportedType", "WindowError",
+    "dominant_coweights_in_box", "make_root_datum", "__version__",
 ]

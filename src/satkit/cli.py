@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -257,6 +258,10 @@ def run_certification(n: int, q_list: Sequence[int], coord_min: int,
     datum = make_root_datum(f"GL({n})")
     for q in q_list:   # a bad q is a usage error, whatever the estimate
         GF(q)
+    # each of the C(w + n - 1, n)^2 pairs adds >= |q_list|: nu = lam + mu
+    width = coord_max - coord_min + 1
+    if math.comb(width + n - 1, n) ** 2 * len(q_list) > _CERTIFY_WORK:
+        raise TooLarge(f"certify work estimate exceeds {_CERTIFY_WORK}")
     doms = list(dominant_coweights_in_box(datum, coord_min, coord_max))
     plan, work = [], 0
     for lam, mu in itertools.product(doms, repeat=2):

@@ -53,12 +53,6 @@ class _Span:
             return NotImplemented
         return self.datum is other.datum and self.coeffs == other.coeffs
 
-    def __add__(self, other: "_Span"):
-        out = dict(self.coeffs)
-        for mu, c in other.coeffs.items():
-            out[mu] = out.get(mu, Laurent.ZERO) + c
-        return type(self)(self.datum, out)
-
     def to_json(self) -> list[dict]:
         return [{"coweight": list(mu),
                  "v_low": self.coeffs[mu].low,

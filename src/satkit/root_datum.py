@@ -68,39 +68,6 @@ class Dominance(enum.Enum):
     INCOMPARABLE_COMPONENTS = "incomparable_components"
 
 
-class WeylElement:
-    """A Weyl group element, stored as a word in simple reflections.
-
-    The word is applied left to right: ``act_coweight`` computes
-    s_{word[-1]} ... s_{word[0]} (mu).  Words produced by this module are
-    reduced, so ``length`` is the Coxeter length.
-    """
-
-    __slots__ = ("datum", "word")
-
-    def __init__(self, datum: "RootDatum", word: Sequence[int] = ()):
-        self.datum = datum
-        self.word = tuple(word)
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    @property
-    def sign(self) -> int:
-        return -1 if len(self.word) % 2 else 1
-
-    def act_coweight(self, mu: Vec) -> Vec:
-        for i in self.word:
-            mu = self.datum.simple_reflect_coweight(i, mu)
-        return mu
-
-    def __repr__(self) -> str:
-        if not self.word:
-            return "e"
-        return "*".join(f"s{i}" for i in self.word)
-
-
 class RootDatum:
     """A root datum with Weyl group access.
 
@@ -222,11 +189,13 @@ class RootDatum:
     def leq(self, lam: Vec, mu: Vec) -> bool:
         return self.dominance_leq(lam, mu) is Dominance.LE
 
-    def dominant_representative(self, mu: Vec) -> tuple[Vec, WeylElement]:
-        """The dominant W-conjugate mu^+ and a w with w(mu) = mu^+.
+    def dominant_representative(self, mu: Vec) -> tuple[Vec, tuple[int, ...]]:
+        """The dominant W-conjugate mu^+ and a reduced word for a w with
+        w(mu) = mu^+: a tuple of simple-reflection indices, applied left to
+        right, so s_{word[-1]} ... s_{word[0]}(mu) = mu^+ and
+        sign(w) = (-1)^len(word).
 
-        Repeatedly applies any simple reflection with negative pairing; the
-        recorded word is reduced.
+        Repeatedly applies the first simple reflection with negative pairing.
         """
         self._check(mu)
         word = []
@@ -238,7 +207,7 @@ class RootDatum:
                     word.append(i)
                     break
             else:
-                return mu, WeylElement(self, word)
+                return mu, tuple(word)
 
     def weyl_orbit(self, mu: Vec) -> frozenset[Vec]:
         self._check(mu)

@@ -16,16 +16,17 @@ boxes when a query leaves it.  Table fills, the Freudenthal recursion and
 tensor products estimate their work first and raise TooLarge over budget.
 
 The Brylinski-Kostant oracle at the end builds modules explicitly inside
-tensor powers of the standard representation (type A only) and exists to
-verify the q-analog computations independently.
+tensor powers of the standard representation (type A only), each generated
+by lowering operators from the tensor product of its column wedges, and
+exists to verify the q-analog computations independently.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, permutations
 from operator import add, gt, mul, sub
 
 from .errors import DomainError, InternalInconsistency, TooLarge, UnsupportedType
@@ -119,14 +120,14 @@ def tensor_decompose(datum: RootDatum, lam: Vec, mu: Vec) -> dict[Vec, int]:
     acc: dict[Vec, int] = {}
     for nu_p, m in weight_multiplicities(datum, lam).items():
         t2 = _vadd(_vadd(_vscale(2, nu_p), _vscale(2, mu)), rho2)
-        rep2, w = datum.dominant_representative(t2)
+        rep2, word = datum.dominant_representative(t2)
         if any(datum.pairing(a, rep2) == 0 for a in datum.simple_roots):
             continue   # lies on a wall: the term cancels
         diff = _vsub(rep2, rho2)
         if any(x % 2 for x in diff):
             raise InternalInconsistency(f"odd straightened weight {rep2}")
         nu = tuple(x // 2 for x in diff)
-        acc[nu] = acc.get(nu, 0) + w.sign * m
+        acc[nu] = acc.get(nu, 0) + (-1) ** len(word) * m
     out = {nu: c for nu, c in acc.items() if c}
     for nu, c in out.items():
         if c < 0:
@@ -269,10 +270,11 @@ def stalk_from_q_analog(datum: RootDatum, mu: Vec, lam: Vec, m: QPoly) -> QPoly:
 class ExplicitModule:
     """An irreducible of the dual GL_n built inside words of {0..n-1}^d.
 
-    Vectors are sparse dicts word -> Fraction.  The module is generated from
-    a highest-weight vector (found in the kernel of all raising operators)
-    by the lowering operators, and stored as an echelonized basis grouped by
-    weight.  The principal nilpotent is the sum of the raising operators.
+    Vectors are sparse dicts word -> Fraction.  The module is generated by
+    the lowering operators from its highest-weight vector, the column
+    alternant of ``_column_alternant``, and stored as an echelonized basis
+    grouped by weight.  The principal nilpotent is the sum of the raising
+    operators.
     """
 
     def __init__(self, n: int, partition: Vec):
@@ -281,8 +283,7 @@ class ExplicitModule:
         self.d = sum(partition)
         if self.n ** max(self.d, 1) > _AMBIENT_WORD_BUDGET:
             raise TooLarge(f"ambient tensor power {n}^{self.d} exceeds budget")
-        hw = self._highest_weight_vector()
-        self.basis_by_weight = self._generate(hw)
+        self.basis_by_weight = self._generate(_column_alternant(partition))
         self.dim = sum(len(v) for v in self.basis_by_weight.values())
 
     # words: tuples over 0..n-1; the weight of a word is its content vector
@@ -293,52 +294,8 @@ class ExplicitModule:
             c[x] += 1
         return tuple(c)
 
-    def _apply_e(self, i: int, vec: dict) -> dict:
-        out: dict = {}
-        for word, c in vec.items():
-            for pos, letter in enumerate(word):
-                if letter == i + 1:
-                    nw = word[:pos] + (i,) + word[pos + 1:]
-                    out[nw] = out.get(nw, 0) + c
-        return {w: c for w, c in out.items() if c}
-
-    def _apply_f(self, i: int, vec: dict) -> dict:
-        out: dict = {}
-        for word, c in vec.items():
-            for pos, letter in enumerate(word):
-                if letter == i:
-                    nw = word[:pos] + (i + 1,) + word[pos + 1:]
-                    out[nw] = out.get(nw, 0) + c
-        return {w: c for w, c in out.items() if c}
-
     def apply_nilpotent(self, vec: dict) -> dict:
-        out: dict = {}
-        for i in range(self.n - 1):
-            for w, c in self._apply_e(i, vec).items():
-                out[w] = out.get(w, 0) + c
-        return {w: c for w, c in out.items() if c}
-
-    def _mu_words(self) -> list[tuple[int, ...]]:
-        letters = []
-        for letter, count in enumerate(self.partition):
-            letters.extend([letter] * count)
-        return sorted(set(itertools.permutations(letters)))
-
-    def _highest_weight_vector(self) -> dict:
-        """Solve the raising-operator kernel on the top weight space."""
-        words = self._mu_words()
-        index = {w: j for j, w in enumerate(words)}
-        if len(words) == 1:
-            return {words[0]: Fraction(1)}
-        rows: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
-        for j, w in enumerate(words):
-            for i in range(self.n - 1):
-                for img, c in self._apply_e(i, {w: 1}).items():
-                    rows.setdefault((i, img), {})[j] = c
-        null = _nullspace(list(rows.values()), len(words))
-        if not null:
-            raise InternalInconsistency("no highest-weight vector found")
-        return {words[j]: c for j, c in null[0].items() if c}
+        return _substitute(vec, {k + 1: k for k in range(self.n - 1)})
 
     def _generate(self, hw: dict) -> dict[Vec, list[dict]]:
         echelon: dict[tuple[int, ...], dict] = {}
@@ -347,7 +304,7 @@ class ExplicitModule:
         while queue:
             v = queue.pop()
             for i in range(self.n - 1):
-                img = self._apply_f(i, v)
+                img = _substitute(v, {i: i + 1})
                 if img and _echelon_insert(echelon, img):
                     queue.append(img)
         by_weight: dict[Vec, list[dict]] = {}
@@ -373,6 +330,32 @@ class ExplicitModule:
 _explicit_module = lru_cache(maxsize=64)(ExplicitModule)
 
 
+def _column_alternant(partition: Vec) -> dict:
+    """The highest-weight vector of L_partition in V^(x)d: the tensor
+    product over the columns of the partition, of lengths c, of
+    e_0 ^ ... ^ e_(c-1) (Fulton, Young Tableaux, section 8)."""
+    vec = {(): Fraction(1)}
+    for j in range(max(partition, default=0)):
+        column = range(sum(x > j for x in partition))
+        wedge = [(p, (-1) ** sum(x > y for x, y in combinations(p, 2)))
+                 for p in permutations(column)]
+        vec = {w + p: a * s for w, a in vec.items() for p, s in wedge}
+    return vec
+
+
+def _substitute(vec: dict, sub: dict[int, int]) -> dict:
+    """The operator sending a word to the sum, over its positions holding a
+    key of sub, of the word with that letter replaced: {i + 1: i} is e_i,
+    {i: i + 1} is f_i."""
+    out: dict = {}
+    for word, c in vec.items():
+        for pos, letter in enumerate(word):
+            if (new := sub.get(letter)) is not None:
+                nw = word[:pos] + (new,) + word[pos + 1:]
+                out[nw] = out.get(nw, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
 def _echelon_insert(pivots: dict, vec: dict) -> bool:
     """Reduce vec by the monic pivot rows; store it and return True if new."""
     vec = dict(vec)
@@ -389,25 +372,6 @@ def _echelon_insert(pivots: dict, vec: dict) -> bool:
             if vec[j] == 0:
                 del vec[j]
     return False
-
-
-def _nullspace(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
-    """Nullspace basis of a sparse integer matrix, echelon order, over Q."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        _echelon_insert(pivots, {j: Fraction(c) for j, c in row.items()})
-    free = [j for j in range(ncols) if j not in pivots]
-    out = []
-    for j0 in free:
-        sol = {j0: Fraction(1)}
-        # back-substitute pivot columns in decreasing order
-        for lead in sorted(pivots, reverse=True):
-            val = sum(pivots[lead].get(j, 0) * c for j, c in sol.items()
-                      if j != lead)
-            if val:
-                sol[lead] = -val
-        out.append({j: c for j, c in sol.items() if c})
-    return out
 
 
 def _rank(vecs: list[dict]) -> int:

@@ -403,12 +403,18 @@ def test_gl2_weights_below_the_ray_bound(capsys):
 @pytest.mark.parametrize("argv, digest", [
     ("qanalog --type GL --rank 4 --mu 2,1,1,0 --lam 1,1,1,1 --bk-oracle",
      "61acb5f759dcd9d0bd22711a9fd43044bccea9d18e594f6bdb7e3473ec55c8e6"),
+    ("qanalog --type GL --rank 4 --mu 2,2,0,0 --lam 1,1,1,1 --bk-oracle",
+     "7e07c8c1a40e7c399dcda1acbf207b8d0c061dd53d83b2cab69a4840125dc210"),
+    ("qanalog --type GL --rank 3 --mu 3,1,0 --lam 2,1,1 --bk-oracle",
+     "26ba5f6d3702134fa2d5af0b5e01744be869151ef8205894a87284e7efdf05bb"),
     ("qanalog --type GL --rank 8 --mu 4,2,1,1,0,0,0,0 --lam 1,1,1,1,1,1,1,1",
      "7e841c3f429dfa4e2b9176b2864ab9fe3eaf45bdbcd32e95e9bd6bcac70e3ecd"),
     ("qanalog --type B --rank 3 --mu 1,0,1 --lam 0,0,0",
      "a53a1d8d01f3995537a679e57458fe970d25425b7b0954ccd9ffd1a04d11695b"),
     ("convolve --type C --rank 4 --lam 1,0,0,0 --mu 1,0,0,0",
      "11a2914be9aa4fca62722f422307d1c4b20291e9134bb73aec5ca77ed0166b4f"),
+    ("convolve --type G --rank 2 --lam 1,0 --mu 0,1",
+     "11c8622c895b89af99e4d8a06fd795546d892b84ee3256b4b0e9e257684c8a00"),
     ("convolve --type GL --rank 2 --lam 1,-1 --mu 1,-1",
      "05f6bee294935da9b7c68d9856e38a52a0d16b6e7669afce85297bfa8c0e2289"),
     ("satake --type B --rank 4 --mu 1,0,0,0",
@@ -543,6 +549,21 @@ def test_certify_wide_box_exits_3(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, *"certify --n 1 --q 2,3 --coord-min -100 "
                                   "--coord-max 0".split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("satkit: budget exceeded: certify work estimate")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "certify --n 1 --q 2 --coord-min -2000000 --coord-max 0",
+    "certify --n 2 --q 2 --coord-min -3000 --coord-max 0",
+    "certify --n 3 --q 2 --coord-min -300 --coord-max 0",
+])
+def test_certify_huge_box_exits_3_before_listing(capsys, argv):
+    # C(w + n - 1, n)^2 |q_list| bounds the estimate below, w the box width
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
     assert err.startswith("satkit: budget exceeded: certify work estimate")

@@ -8,7 +8,7 @@ from satkit.errors import (DomainError, InternalInconsistency, TooLarge,
 from satkit.polynomials import QPoly
 from satkit.root_datum import (RootDatum, dominant_coweights_in_box,
                                make_root_datum)
-from weyl_reference import (REFERENCE_LABELS, ray_walk_multiplicities,
+from weyl_reference import (REFERENCE_LABELS, act, ray_walk_multiplicities,
                              reference_highest_weights, weyl_group)
 
 GL2 = make_root_datum("GL(2)")
@@ -54,7 +54,7 @@ def full_weyl_sum(datum, mu, lams):
     enumerated by ``weyl_group``; independent of the production walk."""
     rho2 = datum.two_rho_check
     top2 = tuple(2 * m + r for m, r in zip(mu, rho2))
-    orbit = [(w.act_coweight(top2), w.sign) for w in weyl_group(datum)]
+    orbit = [(act(datum, w, top2), (-1) ** len(w)) for w in weyl_group(datum)]
     out = {}
     for lam in lams:
         low2 = tuple(2 * x + r for x, r in zip(lam, rho2))
@@ -403,8 +403,9 @@ def test_explicit_module_sl2_relations():
     for weight, vectors in mod.basis_by_weight.items():
         for v in vectors:
             for i in range(2):
-                ef = mod._apply_e(i, mod._apply_f(i, v))
-                fe = mod._apply_f(i, mod._apply_e(i, v))
+                e, f = {i + 1: i}, {i: i + 1}
+                ef = wr._substitute(wr._substitute(v, f), e)
+                fe = wr._substitute(wr._substitute(v, e), f)
                 comm = dict(ef)
                 for w, c in fe.items():
                     comm[w] = comm.get(w, 0) - c
@@ -412,6 +413,33 @@ def test_explicit_module_sl2_relations():
                 h = weight[i] - weight[i + 1]
                 expect = {w: h * c for w, c in v.items() if h * c}
                 assert comm == expect
+
+
+def test_column_alternant_is_a_highest_weight_vector():
+    # content mu on every word, and every raising operator e_i kills it
+    for n in range(1, 5):
+        for d in range(1, 7):
+            for mu in itertools.product(range(d, -1, -1), repeat=n):
+                if sum(mu) != d or list(mu) != sorted(mu, reverse=True):
+                    continue
+                hw = wr._column_alternant(mu)
+                assert hw and all(wr.ExplicitModule._content(w, n) == mu
+                                  for w in hw), mu
+                for i in range(n - 1):
+                    assert wr._substitute(hw, {i + 1: i}) == {}, (mu, i)
+
+
+def test_bk_oracle_matches_q_analog_gl4():
+    # criterion 3 stops at GL(3): every dominant lam <= mu, 0 < |mu| <= 5
+    gl4 = make_root_datum("GL(4)")
+    pairs = 0
+    for mu in dominant_coweights_in_box(gl4, 0, 5):
+        if 0 < sum(mu) <= 5:
+            for lam in gl4.dominant_below(mu):
+                assert (wr.bk_oracle(gl4, mu, lam)
+                        == wr.lusztig_q_analog(gl4, mu, lam)), (mu, lam)
+                pairs += 1
+    assert pairs == 46
 
 
 def test_explicit_module_weight_dims_match_freudenthal():

@@ -9,8 +9,7 @@ dominant conjugates off one orbit map."""
 from functools import lru_cache
 
 from satkit.errors import ShapeError
-from satkit.root_datum import (WeylElement, dominant_coweights_in_box,
-                               make_root_datum)
+from satkit.root_datum import dominant_coweights_in_box, make_root_datum
 from satkit.weyl_rep import dim_rep
 
 _WEYL_BUDGET = 1_000_000  # refuse to enumerate Weyl groups beyond this order
@@ -33,12 +32,13 @@ def reference_highest_weights(label):
 
 @lru_cache(maxsize=32)
 def weyl_group(datum):
-    """All Weyl group elements with reduced words, by BFS from the identity."""
+    """A reduced word for every Weyl group element, by BFS from the
+    identity; a word is a tuple of simple-reflection indices."""
     idmat = tuple(tuple(int(i == j) for j in range(datum.dim))
                   for i in range(datum.dim))
     seen = {idmat}
     frontier = [(idmat, ())]
-    elements = [WeylElement(datum, ())]
+    elements = [()]
     while frontier:
         nxt = []
         for mat, word in frontier:
@@ -51,17 +51,24 @@ def weyl_group(datum):
                     w = word + (i,)
                     seen.add(rows)
                     nxt.append((rows, w))
-                    elements.append(WeylElement(datum, w))
+                    elements.append(w)
                     if len(elements) > _WEYL_BUDGET:
                         raise ShapeError("Weyl group too large to enumerate")
         frontier = nxt
     return elements
 
 
-def matrix_on_coweights(w):
-    """Rows r_k with (w mu)_k = sum_j r_k[j] mu_j."""
-    n = w.datum.dim
-    cols = [w.act_coweight(tuple(int(i == j) for i in range(n)))
+def act(datum, word, mu):
+    """s_{word[-1]} ... s_{word[0]}(mu): the word applied left to right."""
+    for i in word:
+        mu = datum.simple_reflect_coweight(i, mu)
+    return mu
+
+
+def matrix_on_coweights(datum, word):
+    """Rows r_k with (w mu)_k = sum_j r_k[j] mu_j, w the word's element."""
+    n = datum.dim
+    cols = [act(datum, word, tuple(int(i == j) for i in range(n)))
             for j in range(n)]
     return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
 
