@@ -263,6 +263,10 @@ def run_certification(n: int, q_list: Sequence[int], coord_min: int,
     if math.comb(width + n - 1, n) ** 2 * len(q_list) > _CERTIFY_WORK:
         raise TooLarge(f"certify work estimate exceeds {_CERTIFY_WORK}")
     doms = list(dominant_coweights_in_box(datum, coord_min, coord_max))
+    # each pair (lam, mu) adds >= forms(lam): nu = lam + mu has factor >= 1
+    if len(doms) * sum(lo.candidate_count(n, q, max(map(abs, lam)))
+                       for lam in doms for q in q_list) > _CERTIFY_WORK:
+        raise TooLarge(f"certify work estimate exceeds {_CERTIFY_WORK}")
     plan, work = [], 0
     for lam, mu in itertools.product(doms, repeat=2):
         nus = datum.dominant_below(tuple(a + b for a, b in zip(lam, mu)))

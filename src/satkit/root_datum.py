@@ -229,33 +229,37 @@ class RootDatum:
         return self.pairing(self.two_rho, mu)
 
     def dominant_below(self, mu: Vec) -> list[Vec]:
-        """All dominant lam <= mu, sorted by <2rho, lam> then lexicographically.
-
-        Walks down from mu by positive coroots and keeps only dominant
-        points.  This reaches every dominant lam <= mu: whenever a dominant
-        mu' covers a dominant lam in the dominance order, mu' - lam is a
-        positive coroot (Stembridge, The partial order of dominant weights,
-        Adv. Math. 136, 1998).  Raises TooLarge once the walk has found more
-        than _DOMINANT_BUDGET weights.
-        """
+        """All dominant lam <= mu, sorted by <2rho, lam> then lexicographically,
+        in a new list; the memo ``_dominant_below`` walks to them once."""
         if not self.is_dominant(mu):
             raise ShapeError("dominant_below expects a dominant coweight")
-        found = {mu}
-        stack = [mu]
-        while stack:
-            cur = stack.pop()
-            for beta in self.positive_coroots:
-                lam = _vsub(cur, beta)
-                if lam not in found and self.is_dominant(lam):
-                    found.add(lam)
-                    stack.append(lam)
-                    if len(found) > _DOMINANT_BUDGET:
-                        raise TooLarge(f"more than {_DOMINANT_BUDGET} dominant "
-                                       f"weights below mu={list(mu)}")
-        return sorted(found, key=lambda lam: (self.height2(lam), lam))
+        return list(_dominant_below(self, mu))
 
     def __repr__(self) -> str:
         return f"RootDatum({self.label})"
+
+
+@lru_cache(maxsize=1024)
+def _dominant_below(datum: RootDatum, mu: Vec) -> tuple[Vec, ...]:
+    """Walks down from the dominant mu by positive coroots and keeps only
+    dominant points.  This reaches every dominant lam <= mu: whenever a
+    dominant mu' covers a dominant lam in the dominance order, mu' - lam is
+    a positive coroot (Stembridge, The partial order of dominant weights,
+    Adv. Math. 136, 1998).  Past _DOMINANT_BUDGET weights it raises
+    TooLarge, and so caches nothing."""
+    found = {mu}
+    stack = [mu]
+    while stack:
+        cur = stack.pop()
+        for beta in datum.positive_coroots:
+            lam = _vsub(cur, beta)
+            if lam not in found and datum.is_dominant(lam):
+                found.add(lam)
+                stack.append(lam)
+                if len(found) > _DOMINANT_BUDGET:
+                    raise TooLarge(f"more than {_DOMINANT_BUDGET} dominant "
+                                   f"weights below mu={list(mu)}")
+    return tuple(sorted(found, key=lambda lam: (datum.height2(lam), lam)))
 
 
 class _IntegralSolver:

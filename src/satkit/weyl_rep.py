@@ -24,7 +24,6 @@ exists to verify the q-analog computations independently.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import add, gt, mul, sub
@@ -47,18 +46,24 @@ def _form(datum: RootDatum, x: Vec, y: Vec) -> int:
 
 
 def weight_multiplicities(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
-    """All weights of the dual-group irreducible L_mu with multiplicities,
-    by the Freudenthal recursion over dominant weights: ``where`` maps each
-    weight to its dominant conjugate, and a ray point outside it has left
-    the weight polytope."""
+    """All weights of the dual-group irreducible L_mu with multiplicities, in
+    a new dict; the memo ``_freudenthal`` walks once the estimates admit it."""
     if (dim := dim_rep(datum, mu)) > _DIM_BUDGET:
         raise TooLarge(f"dim L_mu = {dim} exceeds budget {_DIM_BUDGET}")
-    dom = sorted(datum.dominant_below(mu), key=datum.height2, reverse=True)
     # a ray runs along a root string of L_mu: at most 1 + <alpha, mu> weights
-    steps = len(dom) * len(datum.positive_coroots) * (1 + max(
-        (datum.pairing(a, mu) for a in datum.positive_roots), default=0))
+    steps = len(datum.dominant_below(mu)) * len(datum.positive_coroots) * (
+        1 + max((datum.pairing(a, mu) for a in datum.positive_roots), default=0))
     if steps > _RAY_BUDGET:
         raise TooLarge(f"Freudenthal ray walk {steps} > budget {_RAY_BUDGET}")
+    return dict(_freudenthal(datum, mu))
+
+
+@lru_cache(maxsize=32)
+def _freudenthal(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
+    """The Freudenthal recursion over dominant weights: ``where`` maps each
+    weight to its dominant conjugate, and a ray point outside it has left
+    the weight polytope.  The memo: shared, so read it only."""
+    dom = sorted(datum.dominant_below(mu), key=datum.height2, reverse=True)
     where = {nu: lam for lam in dom for nu in datum.weyl_orbit(lam)}
     # the ray term B(nu, beta) is nu . (B beta), B beta once per coroot
     rays = [(beta, tuple(sum(map(mul, row, beta)) for row in datum.gram))
@@ -270,11 +275,11 @@ def stalk_from_q_analog(datum: RootDatum, mu: Vec, lam: Vec, m: QPoly) -> QPoly:
 class ExplicitModule:
     """An irreducible of the dual GL_n built inside words of {0..n-1}^d.
 
-    Vectors are sparse dicts word -> Fraction.  The module is generated by
-    the lowering operators from its highest-weight vector, the column
-    alternant of ``_column_alternant``, and stored as an echelonized basis
-    grouped by weight.  The principal nilpotent is the sum of the raising
-    operators.
+    Vectors are sparse dicts word -> int.  The module is generated by the
+    lowering operators from its highest-weight vector, the column alternant
+    of ``_column_alternant``, and stored as a basis echelonized over Z by
+    ``_echelon_insert``, grouped by weight.  The principal nilpotent is the
+    sum of the raising operators.
     """
 
     def __init__(self, n: int, partition: Vec):
@@ -334,7 +339,7 @@ def _column_alternant(partition: Vec) -> dict:
     """The highest-weight vector of L_partition in V^(x)d: the tensor
     product over the columns of the partition, of lengths c, of
     e_0 ^ ... ^ e_(c-1) (Fulton, Young Tableaux, section 8)."""
-    vec = {(): Fraction(1)}
+    vec = {(): 1}
     for j in range(max(partition, default=0)):
         column = range(sum(x > j for x in partition))
         wedge = [(p, (-1) ** sum(x > y for x, y in combinations(p, 2)))
@@ -357,17 +362,24 @@ def _substitute(vec: dict, sub: dict[int, int]) -> dict:
 
 
 def _echelon_insert(pivots: dict, vec: dict) -> bool:
-    """Reduce vec by the monic pivot rows; store it and return True if new."""
+    """Reduce the integer vector vec by the pivot rows, vec = c vec - f row
+    with c and f the leading coefficients over their gcd; if a remainder is
+    left, store it as a new row, primitive with a positive leading
+    coefficient, and return True."""
     vec = dict(vec)
     while vec:
         lead = min(vec)
-        base = pivots.get(lead)
-        if base is None:
-            c = vec[lead]
-            pivots[lead] = {j: x / c for j, x in vec.items()}
+        row = pivots.get(lead)
+        if row is None:
+            g = math.gcd(*vec.values()) * (1 if vec[lead] > 0 else -1)
+            pivots[lead] = {j: x // g for j, x in vec.items()}
             return True
-        f = vec[lead]
-        for j, x in base.items():
+        c, f = row[lead], vec[lead]
+        if c != 1:
+            g = math.gcd(c, f)
+            c, f = c // g, f // g
+            vec = {j: c * x for j, x in vec.items()}
+        for j, x in row.items():
             vec[j] = vec.get(j, 0) - f * x
             if vec[j] == 0:
                 del vec[j]

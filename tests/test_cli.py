@@ -570,6 +570,18 @@ def test_certify_huge_box_exits_3_before_listing(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_certify_refuses_a_listed_box_before_its_pairs(capsys):
+    # the box bound admits this box; every pair adds at least the forms of
+    # its lam, so the sum over the listed box refuses it before any pair
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", "--n", "4", "--q", "2",
+                         "--coord-min", "-20", "--coord-max", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("satkit: budget exceeded: certify work estimate")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("n, q_list, box", [
     (2, (2, 3, 4, 5, 7), (-2, 2)),   # the ROADMAP baseline
     (3, (2, 3), (0, 1)),

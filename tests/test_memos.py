@@ -9,7 +9,12 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import satkit
+from satkit import root_datum
+from satkit import weyl_rep as wr
+from satkit.errors import TooLarge
 from satkit.root_datum import make_root_datum
 
 
@@ -29,6 +34,7 @@ def _memos():
 def test_every_memo_is_bounded():
     memos = dict(_memos())
     assert {"root_datum._gl_datum", "root_datum._simple_datum",
+            "root_datum._dominant_below", "weyl_rep._freudenthal",
             "weyl_rep._kostant_table", "weyl_rep._explicit_module",
             "hecke_satake.ic_function", "hecke_satake._tensor",
             "hecke_satake._basis_transform",
@@ -42,3 +48,29 @@ def test_every_memo_is_bounded():
     for label in ("GL(1)", "GL(3)", "A2", "B3", "C2", "D4", "G2"):
         datum = make_root_datum(label)
         assert not hasattr(datum, "_caches"), label
+
+
+def test_memoized_walks_hand_out_copies():
+    gl3, b3 = make_root_datum("GL(3)"), make_root_datum("B3")
+    for datum, mu in ((gl3, (3, 1, 0)), (b3, (1, 0, 1))):
+        below = datum.dominant_below(mu)
+        kept = list(below)
+        below.append(mu)
+        below.reverse()
+        assert datum.dominant_below(mu) == kept
+        weights = wr.weight_multiplicities(datum, mu)
+        kept = dict(weights)
+        weights[mu] = 99
+        weights.pop(next(iter(kept)))
+        assert wr.weight_multiplicities(datum, mu) == kept
+        assert wr.weight_multiplicity(datum, mu, mu) == 1
+
+
+def test_refused_walk_caches_nothing(monkeypatch):
+    monkeypatch.setattr(root_datum, "_DOMINANT_BUDGET", 10)
+    gl2 = make_root_datum("GL(2)")
+    before = root_datum._dominant_below.cache_info().currsize
+    for mu in ((77, -77), (78, -77)):
+        with pytest.raises(TooLarge):
+            gl2.dominant_below(mu)
+    assert root_datum._dominant_below.cache_info().currsize == before

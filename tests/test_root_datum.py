@@ -283,6 +283,7 @@ def test_gl1_degenerate():
 
 
 def test_dominant_below_stops_past_its_budget(monkeypatch):
+    root_datum._dominant_below.cache_clear()   # a memo hit would not refuse
     monkeypatch.setattr(root_datum, "_DOMINANT_BUDGET", 10)
     assert len(GL2.dominant_below((18, 0))) == 10
     with pytest.raises(TooLarge, match="more than 10 dominant weights"):

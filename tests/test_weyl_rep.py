@@ -1,4 +1,9 @@
+import hashlib
 import itertools
+import json
+import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -447,3 +452,74 @@ def test_explicit_module_weight_dims_match_freudenthal():
     mults = wr.weight_multiplicities(GL3, (3, 1, 0))
     by_weight = {w: len(vs) for w, vs in mod.basis_by_weight.items()}
     assert by_weight == {w: m for w, m in mults.items()}
+
+
+def fraction_echelon_insert(pivots, vec):
+    """Sparse echelon insertion over Q with monic pivot rows, vec -= f row:
+    the reference for the fraction-free kernel of the explicit modules."""
+    vec = {j: Fraction(x) for j, x in vec.items()}
+    while vec:
+        lead = min(vec)
+        base = pivots.get(lead)
+        if base is None:
+            c = vec[lead]
+            pivots[lead] = {j: x / c for j, x in vec.items()}
+            return True
+        f = vec[lead]
+        for j, x in base.items():
+            vec[j] = vec.get(j, 0) - f * x
+            if vec[j] == 0:
+                del vec[j]
+    return False
+
+
+def test_rank_matches_fraction_echelon():
+    rng = random.Random(2020)
+    words = list(itertools.product(range(3), repeat=2))
+    deficient = 0
+    for _ in range(400):
+        vecs = [{w: rng.choice([-7, -2, -1, 1, 2, 3, 6, 10 ** 12])
+                 for w in rng.sample(words, rng.randint(1, 5))}
+                for _ in range(rng.randint(1, 8))]
+        for _ in range(rng.randint(0, 4)):   # dependent vectors
+            acc = {}
+            for v in rng.sample(vecs, rng.randint(1, len(vecs))):
+                k = rng.choice([-3, -1, 2, 5])
+                for w, x in v.items():
+                    acc[w] = acc.get(w, 0) + k * x
+            vecs.append({w: x for w, x in acc.items() if x})
+        rng.shuffle(vecs)
+        kept = [dict(v) for v in vecs]
+        reference = {}
+        rank = wr._rank(vecs)
+        assert rank == sum(fraction_echelon_insert(reference, v)
+                           for v in vecs)
+        assert vecs == kept
+        deficient += rank < len(vecs)
+        pivots = {}
+        for v in vecs:
+            wr._echelon_insert(pivots, v)
+        assert pivots.keys() == reference.keys()
+        for lead, row in pivots.items():   # primitive, positive lead
+            assert row[lead] > 0 and math.gcd(*row.values()) == 1
+            assert {w: Fraction(x, row[lead])
+                    for w, x in row.items()} == reference[lead]
+    assert deficient > 100
+
+
+def test_graded_kernel_dims_keep_their_values():
+    # every (mu, weight) pair of GL(2..4) with 0 < |mu| <= 6, against the
+    # digest of the values the Fraction kernel gave (the reference above
+    # reproduces them through monkeypatching wr._echelon_insert)
+    rows = []
+    for n in (2, 3, 4):
+        for mu in itertools.product(range(6, -1, -1), repeat=n):
+            if not 0 < sum(mu) <= 6 or list(mu) != sorted(mu, reverse=True):
+                continue
+            module = wr.ExplicitModule(n, mu)
+            for lam in sorted(module.basis_by_weight):
+                p = module.graded_kernel_dims(lam)
+                rows.append([list(mu), list(lam), p.low, list(p.coeffs)])
+    assert len(rows) == 1020
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "842bda8f3576b66eb3ad341b2aa58fc31053eb7481d71163603b3c0340e89297")
