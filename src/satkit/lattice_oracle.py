@@ -20,10 +20,8 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (DomainError, InternalInconsistency, NonPolynomialCount,
                      ShapeError, SingularMatrix, TooLarge, WindowError)
@@ -50,10 +48,9 @@ def enumeration_budget() -> int:
     return int(raw)
 
 
-@dataclass(frozen=True)
-class LatticeHNF:
-    """A window lattice in canonical Hermite form; equality is structural
-    and coincides with equality of lattices."""
+class LatticeHNF(NamedTuple):
+    """A window lattice in canonical Hermite form, an immutable NamedTuple;
+    equality is structural and coincides with equality of lattices."""
 
     n: int
     q: int
@@ -504,6 +501,7 @@ def interpolate_count(counter: Callable[[int], int],
     verification point.  Raises NonPolynomialCount (with the witnessing
     prime power) on mismatch or non-integer coefficients.
     """
+    from fractions import Fraction   # only here, so importing satkit skips it
     qs = list(q_list)
     if len(qs) < 2 or len(set(qs)) != len(qs):
         raise DomainError("need at least two distinct sample points")
@@ -514,18 +512,10 @@ def interpolate_count(counter: Callable[[int], int],
     for level in range(1, len(xs)):
         for i in range(len(xs) - 1, level - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    poly = [Fraction(0)] * len(xs)
-    poly[0] = coeffs[0]
-    base = [Fraction(1)] + [Fraction(0)] * (len(xs) - 1)
-    for level in range(1, len(xs)):
-        # base *= (x - xs[level-1])
-        new = [Fraction(0)] * len(xs)
-        for i in range(level):
-            new[i + 1] += base[i]
-            new[i] -= base[i] * xs[level - 1]
-        base = new
-        for i in range(level + 1):
-            poly[i] += coeffs[level] * base[i]
+    poly = [coeffs[-1]]   # then by Horner: poly (x - x_k) + coeffs[k]
+    for c, x0 in zip(reversed(coeffs[:-1]), reversed(xs[:-1])):
+        poly = [a - x0 * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += c
     check = sum(poly[i] * qs[-1] ** i for i in range(len(poly)))
     if check != counts[-1]:
         raise NonPolynomialCount(

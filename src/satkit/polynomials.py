@@ -32,14 +32,15 @@ class Laurent:
 
     def __init__(self, low: int = 0, coeffs: Iterable[int] = ()):
         cs = tuple(coeffs)
-        end = len(cs)
-        while end and not cs[end - 1]:
-            end -= 1
-        start = 0
-        while start < end and not cs[start]:
-            start += 1
-        self.low = low + start if end else 0
-        self.coeffs = cs[start:end]
+        if not (cs and cs[0] and cs[-1]):   # strip zeros by C-level scans
+            first = next(filter(None, cs), 0)
+            if not first:
+                self.low, self.coeffs = 0, ()
+                return
+            start, rev = cs.index(first), cs[::-1]
+            end = len(cs) - rev.index(next(filter(None, rev)))
+            low, cs = low + start, cs[start:end]
+        self.low, self.coeffs = low, cs
 
     @classmethod
     def _make(cls, low: int, coeffs: Iterable[int]) -> "Laurent":

@@ -17,9 +17,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd, prod
+from typing import NamedTuple
 
 from .errors import DomainError, IntegralityFailure, TooLarge, UnsupportedType
 
@@ -33,22 +32,19 @@ TOLERANCE = 1e-6
 _CENTER = {"E6": 3, "E7": 2, "E8": 1}
 
 
-@dataclass(frozen=True)
-class VerlindeQuery:
+class VerlindeQuery(NamedTuple("VerlindeQuery",
+                                [("n", int), ("g", int), ("m", int)])):
     """Inputs for one SL_n dimension: rank parameter n >= 2, genus g >= 0
-    and level m >= 1."""
+    and level m >= 1, checked on construction.  An immutable NamedTuple, so
+    it also equals the plain tuple (n, g, m)."""
 
-    n: int
-    g: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"n={self.n} must be >= 2")
-        if self.g < 0:
-            raise DomainError(f"g={self.g} must be >= 0")
-        if self.m < 1:
-            raise DomainError(f"m={self.m} must be >= 1")
+    def __new__(cls, n: int, g: int, m: int):
+        for name, value, least in (("n", n, 2), ("g", g, 0), ("m", m, 1)):
+            if value < least:
+                raise DomainError(f"{name}={value} must be >= {least}")
+        return super().__new__(cls, n, g, m)
 
 
 @functools.lru_cache(maxsize=64)
@@ -182,10 +178,15 @@ def verlinde_sl_report(query: VerlindeQuery, tol: float = TOLERANCE) -> dict:
     if any(total[1:deg]):
         raise IntegralityFailure(f"sum for n={n}, g={g}, m={m} is not "
                                  "rational: a non-constant term survives")
-    value = Fraction(n, h) ** (g - 1) * total[0] / (h ** n if g == 0 else 1)
-    if value.denominator != 1 or value <= 0:
-        raise IntegralityFailure(f"value {value} is not a positive integer")
-    return {"n": n, "g": g, "m": m, "dimension": int(value), "residual": 0.0}
+    # the value (n / h)^(g - 1) total[0], over h^n at genus 0
+    num, den = ((total[0] * n ** (g - 1), h ** (g - 1)) if g
+                else (total[0] * h, n * h ** n))
+    value, rest = divmod(num, den)
+    if rest or value <= 0:
+        from fractions import Fraction   # only on this failure path
+        raise IntegralityFailure(f"value {Fraction(num, den)} is not a "
+                                 "positive integer")
+    return {"n": n, "g": g, "m": m, "dimension": value, "residual": 0.0}
 
 
 def genus_one_dimension(n: int, m: int) -> int:

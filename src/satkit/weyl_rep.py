@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations
 from operator import add, gt, mul, sub
 
 from .errors import DomainError, InternalInconsistency, TooLarge, UnsupportedType
@@ -187,11 +186,13 @@ def _kostant_fill(datum: RootDatum, box: Vec) -> list:
         for lo, hi, s in zip(g, box, strides):
             targets = [t + x * s for t in targets for x in range(lo, hi + 1)]
         for t in targets:
-            src = cells[t - off]
-            if src:
-                dst, n = cells[t], len(src) + 1
+            src, dst = cells[t - off], cells[t]
+            if src and dst:
+                n = len(src) + 1
                 dst += [0] * (n - len(dst))
                 dst[1:n] = map(add, dst[1:n], src)
+            elif src:   # an empty cell takes q P[t - off] by one copy
+                cells[t] = [0, *src]
     return [box, strides, cells]
 
 
@@ -225,13 +226,14 @@ def lusztig_q_analog(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
     simple = list(zip(datum.simple_roots, datum.simple_coroots, strides, box))
     top2 = _vadd(_vscale(2, mu), datum.two_rho_check)
     top = sum(map(mul, gap, strides))
-    acc = [0] * len(cells[top])
+    acc = list(cells[top])   # the top term, w = 1; no later term is longer
     stack = [(top2, top, 1)]   # an orbit point, its term's index, sign(w)
     seen = {top2}
     while stack:
         v, idx, sign = stack.pop()
-        term = cells[idx]
-        acc[:len(term)] = map(add if sign > 0 else sub, acc, term)
+        if idx != top:
+            term = cells[idx]
+            acc[:len(term)] = map(add if sign > 0 else sub, acc, term)
         for a, av, s, b in simple:
             k = sum(map(mul, a, v))
             if 0 < k <= 2 * (idx // s % (b + 1)):
@@ -273,13 +275,15 @@ def stalk_from_q_analog(datum: RootDatum, mu: Vec, lam: Vec, m: QPoly) -> QPoly:
 # -- explicit Brylinski-Kostant oracle (type A) -------------------------------
 
 class ExplicitModule:
-    """An irreducible of the dual GL_n built inside words of {0..n-1}^d.
+    """An irreducible of the dual GL_n inside words of {0..n-1}^d.
 
-    Vectors are sparse dicts word -> int.  The module is generated by the
-    lowering operators from its highest-weight vector, the column alternant
-    of ``_column_alternant``, and stored as a basis echelonized over Z by
-    ``_echelon_insert``, grouped by weight.  The principal nilpotent is the
-    sum of the raising operators.
+    The lowering operators generate it from the column alternant, and act
+    on all positions alike; so its vectors alternate within each column
+    block of a word and are symmetric under swapping blocks of one length.
+    A vector is stored, one to one, as a dict from sorted tuples of
+    increasing blocks to its summed coefficients on the words made of
+    them, in a basis echelonized over Z by ``_echelon_insert`` and grouped
+    by weight.  The principal nilpotent is the sum of the raising operators.
     """
 
     def __init__(self, n: int, partition: Vec):
@@ -291,19 +295,20 @@ class ExplicitModule:
         self.basis_by_weight = self._generate(_column_alternant(partition))
         self.dim = sum(len(v) for v in self.basis_by_weight.values())
 
-    # words: tuples over 0..n-1; the weight of a word is its content vector
+    # the weight of a word, given by its blocks, is its content vector
     @staticmethod
-    def _content(word: tuple[int, ...], n: int) -> Vec:
+    def _content(word: tuple[tuple[int, ...], ...], n: int) -> Vec:
         c = [0] * n
-        for x in word:
-            c[x] += 1
+        for block in word:
+            for x in block:
+                c[x] += 1
         return tuple(c)
 
     def apply_nilpotent(self, vec: dict) -> dict:
         return _substitute(vec, {k + 1: k for k in range(self.n - 1)})
 
     def _generate(self, hw: dict) -> dict[Vec, list[dict]]:
-        echelon: dict[tuple[int, ...], dict] = {}
+        echelon: dict[tuple, dict] = {}
         queue = [dict(hw)]
         _echelon_insert(echelon, hw)
         while queue:
@@ -319,45 +324,43 @@ class ExplicitModule:
 
     def graded_kernel_dims(self, lam: Vec) -> QPoly:
         """Sum over i of dim gr_i q^i for the filtration of the lam-weight
-        space by kernels of powers of the principal nilpotent."""
+        space by kernels of powers of the principal nilpotent.  Each power
+        is applied to an echelon basis of the previous image."""
         space = self.basis_by_weight.get(lam, [])
-        if not space:
-            return QPoly.ZERO
         ranks = [len(space)]
-        vecs = [dict(v) for v in space]
-        while ranks[-1] > 0:
-            vecs = [self.apply_nilpotent(v) for v in vecs]
-            ranks.append(_rank(vecs))
-        coeffs = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
-        return QPoly(coeffs)
+        while space:
+            images = [self.apply_nilpotent(v) for v in space]
+            space = list(_echelon(images).values())
+            ranks.append(len(space))
+        return QPoly([ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)])
 
 
 _explicit_module = lru_cache(maxsize=64)(ExplicitModule)
 
 
 def _column_alternant(partition: Vec) -> dict:
-    """The highest-weight vector of L_partition in V^(x)d: the tensor
-    product over the columns of the partition, of lengths c, of
-    e_0 ^ ... ^ e_(c-1) (Fulton, Young Tableaux, section 8)."""
-    vec = {(): 1}
-    for j in range(max(partition, default=0)):
-        column = range(sum(x > j for x in partition))
-        wedge = [(p, (-1) ** sum(x > y for x, y in combinations(p, 2)))
-                 for p in permutations(column)]
-        vec = {w + p: a * s for w, a in vec.items() for p, s in wedge}
-    return vec
+    """The highest-weight vector of L_partition: the tensor product over the
+    columns of the partition, of lengths c, of e_0 ^ ... ^ e_(c-1) (Fulton,
+    Young Tableaux, section 8), whose one word of increasing blocks has the
+    blocks (0, ..., c - 1)."""
+    return {tuple(sorted(tuple(range(sum(x > j for x in partition)))
+                         for j in range(max(partition, default=0)))): 1}
 
 
 def _substitute(vec: dict, sub: dict[int, int]) -> dict:
     """The operator sending a word to the sum, over its positions holding a
     key of sub, of the word with that letter replaced: {i + 1: i} is e_i,
-    {i: i + 1} is f_i."""
+    {i: i + 1} is f_i.  A word is its sorted tuple of increasing blocks, as
+    in ``ExplicitModule``; a letter moved by one keeps its place in its
+    block, unless it meets a neighbour there: that image alternates to 0."""
     out: dict = {}
     for word, c in vec.items():
-        for pos, letter in enumerate(word):
-            if (new := sub.get(letter)) is not None:
-                nw = word[:pos] + (new,) + word[pos + 1:]
-                out[nw] = out.get(nw, 0) + c
+        for b, block in enumerate(word):
+            for pos, letter in enumerate(block):
+                if (new := sub.get(letter)) is not None and new not in block:
+                    nb = block[:pos] + (new,) + block[pos + 1:]
+                    nw = tuple(sorted(word[:b] + (nb,) + word[b + 1:]))
+                    out[nw] = out.get(nw, 0) + c
     return {w: c for w, c in out.items() if c}
 
 
@@ -386,9 +389,12 @@ def _echelon_insert(pivots: dict, vec: dict) -> bool:
     return False
 
 
-def _rank(vecs: list[dict]) -> int:
+def _echelon(vecs: list[dict]) -> dict:
+    """The pivot rows ``_echelon_insert`` keeps: a basis of span(vecs)."""
     pivots: dict = {}
-    return sum(_echelon_insert(pivots, v) for v in vecs)
+    for v in vecs:
+        _echelon_insert(pivots, v)
+    return pivots
 
 
 def _to_partition_pair(datum: RootDatum, mu: Vec, lam: Vec):

@@ -253,15 +253,23 @@ def test_oracle_workers_flag(capsys):
     assert sum(r["count"] for r in json.loads(out)["cells"]) == 15
 
 
-def test_import_leaves_out_the_worker_pool_and_csv():
-    # multiprocessing and csv load only for --workers > 1 and --csv
+def test_import_leaves_out_what_no_request_runs():
+    # against the modules the bare interpreter has loaded before it, with
+    # -S, as a site hook may load some of them: no record class pulls in
+    # dataclasses (and with it inspect), no value fractions (and with it
+    # decimal); random, multiprocessing and csv load only for --selftest,
+    # --workers > 1 and --csv
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    code = ("import sys, satkit.cli; "
-            "print(sorted({'multiprocessing', 'csv'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    code = ("import sys; bare = set(sys.modules); import satkit.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    loaded = set(proc.stdout.split())
+    assert "satkit.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal",
+                         "random", "multiprocessing", "csv"}
 
 
 @pytest.mark.parametrize("value", ["-3", "0"])

@@ -232,6 +232,24 @@ def test_walk_order_is_pinned(window, digest):
     assert hashlib.sha256(lats).hexdigest() == digest
 
 
+def test_two_walks_give_equal_records():
+    # equality and hashing are structural: a second walk of the same window
+    # builds new objects that equal and hash like the first
+    first = list(lo.enumerate_lattices(3, 2, 1))
+    second = list(lo.enumerate_lattices(3, 2, 1))
+    assert first == second
+    assert not any(a is b for a, b in zip(first, second))
+    assert [hash(a) for a in first] == [hash(b) for b in second]
+    assert len(set(first) | set(second)) == len(first)
+    lat = lo.t_power_lattice((1, 0, -1), 2, 1)
+    assert lat in set(second) and lat == lo.rewindow(lat, 1)
+    assert repr(lat).startswith("LatticeHNF(n=3, q=2, window=1, mat=((")
+    assert lat.diag_exponents() == (2, 1, 0)
+    for attr in ("n", "q", "window", "mat", "other"):
+        with pytest.raises(AttributeError):
+            setattr(lat, attr, 0)
+
+
 @pytest.mark.parametrize("n,q,N", WALK_CASES + [(3, 3, 1)])
 def test_census_matches_the_kernel_route(n, q, N):
     """The census reads positions off valuations per family; the column

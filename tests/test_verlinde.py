@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from satkit.errors import DomainError, TooLarge, UnsupportedType
+from satkit import cli
+from satkit.errors import (DomainError, IntegralityFailure, TooLarge,
+                           UnsupportedType)
 from satkit.verlinde import (VerlindeQuery, _histograms, _packed_sum,
                              _sum_work, genus_one_dimension, level_one_ade,
                              verlinde_sl, verlinde_sl_report)
@@ -79,12 +81,47 @@ def test_level_one_ade_rejects_bad_labels():
 
 
 def test_query_validation():
-    with pytest.raises(DomainError):
-        VerlindeQuery(1, 1, 1)
-    with pytest.raises(DomainError):
-        VerlindeQuery(2, -1, 1)
-    with pytest.raises(DomainError):
-        VerlindeQuery(2, 1, 0)
+    for args, message in [((1, 1, 1), "n=1 must be >= 2"),
+                          ((2, -1, 1), "g=-1 must be >= 0"),
+                          ((2, 1, 0), "m=0 must be >= 1")]:
+        with pytest.raises(DomainError) as exc:
+            VerlindeQuery(*args)
+        assert str(exc.value) == message
+
+
+def test_query_is_an_immutable_record():
+    query = VerlindeQuery(3, 2, 4)
+    assert repr(query) == "VerlindeQuery(n=3, g=2, m=4)"
+    assert (query.n, query.g, query.m) == (3, 2, 4)
+    assert query == VerlindeQuery(n=3, g=2, m=4) != VerlindeQuery(4, 2, 3)
+    assert query == (3, 2, 4)   # a NamedTuple equals its plain tuple
+    assert hash(query) == hash(VerlindeQuery(3, 2, 4))
+    assert len({query, VerlindeQuery(3, 2, 4), VerlindeQuery(4, 2, 3)}) == 2
+    for attr in ("n", "g", "m", "level"):
+        with pytest.raises(AttributeError):
+            setattr(query, attr, 5)
+
+
+@pytest.mark.parametrize("n, g, m, constant", [
+    (2, 2, 1, 1), (2, 2, 1, 4), (2, 0, 2, 1), (3, 1, 1, 0), (2, 3, 1, -4),
+    (4, 0, 1, 3)])
+def test_value_off_the_integers_is_refused(monkeypatch, capsys, n, g, m,
+                                           constant):
+    # a constant term the final division leaves a fraction of, or not > 0;
+    # the message gives the value as a reduced fraction, computed over Q
+    h = n + m
+    monkeypatch.setattr("satkit.verlinde._packed_sum",
+                        lambda n, g, m: [constant] + [0] * (4 * h - 1))
+    value = Fraction(n, h) ** (g - 1) * constant / (h ** n if g == 0 else 1)
+    message = f"value {value} is not a positive integer"
+    with pytest.raises(IntegralityFailure) as exc:
+        verlinde_sl(VerlindeQuery(n, g, m))
+    assert str(exc.value) == message
+    assert cli.main(["verlinde", "--n", str(n), "--g", str(g),
+                     "--m", str(m)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"satkit: check failed: {message}\n"
 
 
 def test_subset_budget():

@@ -491,7 +491,7 @@ def test_rank_matches_fraction_echelon():
         rng.shuffle(vecs)
         kept = [dict(v) for v in vecs]
         reference = {}
-        rank = wr._rank(vecs)
+        rank = len(wr._echelon(vecs))
         assert rank == sum(fraction_echelon_insert(reference, v)
                            for v in vecs)
         assert vecs == kept
