@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
-import math
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -28,13 +25,9 @@ from .errors import (DomainError, IntegralityFailure, InternalInconsistency,
                      NonPolynomialCount, SatkitError, ShapeError, TooLarge,
                      UnsupportedType)
 from .finite_field import GF, PolyRing
-from .root_datum import (Dominance, RootDatum, Vec, dominant_coweights_in_box,
-                         make_root_datum)
+from .root_datum import Dominance, RootDatum, Vec, make_root_datum
 
 SCHEMA = "satkit/1"
-# certify refuses a box whose brute side is estimated above this: per row
-# (q, lam, mu, nu), lam's candidate forms times (4N + 1)^2, N = max |lam, nu|
-_CERTIFY_WORK = 2 * 10 ** 9
 
 
 def _parse_coweight(text: str) -> Vec:
@@ -159,25 +152,7 @@ def cmd_satake(args) -> int:
     return 0
 
 
-def clamp_workers(requested: int, chunks: int, cpus: int) -> int:
-    """The requested process count, clamped to [1, min(chunks, cpus)]."""
-    return max(1, min(requested, chunks, cpus))
-
-
-def _auto_workers(requested: Optional[int], candidates: int,
-                  chunks: int) -> int:
-    if requested is not None and requested < 1:
-        raise DomainError(f"--workers={requested} must be >= 1")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if requested is None:
-        # default to available parallelism, but only when the enumeration
-        # is large enough to amortize process startup
-        requested = cpus if candidates >= 50_000 else 1
-    return clamp_workers(requested, chunks, cpus)
-
-
-def _random_unimodular(ring, n: int, rng: random.Random):
+def _random_unimodular(ring, n: int, rng):
     rows = [[ring.one if i == j else () for j in range(n)] for i in range(n)]
     for _ in range(4 * n):
         a, b = rng.randrange(n), rng.randrange(n)
@@ -197,7 +172,7 @@ def _poly_matmul(ring, a, b):
              for col in cols] for row in a]
 
 
-def _oracle_selftest(n: int, q: int, N: int, rng: random.Random) -> dict:
+def _oracle_selftest(n: int, q: int, N: int, rng) -> dict:
     """Randomized invariance checks, reproducible through --seed."""
     ring = PolyRing(GF(q))
     checks = {"divisor_invariance": True, "duality": True}
@@ -224,11 +199,10 @@ def _oracle_selftest(n: int, q: int, N: int, rng: random.Random) -> dict:
 
 def cmd_oracle(args) -> int:
     n, q, N = args.n, args.q, args.window
-    # cell_census splits the (2N+1)^n diagonal profiles into chunks
-    workers = _auto_workers(args.workers, lo.candidate_count(n, q, N),
-                            (2 * N + 1) ** n)
+    if args.workers < 1:
+        raise DomainError(f"--workers={args.workers} must be >= 1")
     report = lo.oracle_report(n, q, N, conv_bound=args.conv_bound,
-                              workers=workers)
+                              workers=args.workers)
     payload = {"schema": SCHEMA, **report}
     if args.selftest:
         import random   # only here, so importing satkit skips it
@@ -256,27 +230,7 @@ def run_certification(n: int, q_list: Sequence[int], coord_min: int,
         raise DomainError(f"empty coordinate box [{coord_min}, {coord_max}]"
                           ": nothing to certify")
     datum = make_root_datum(f"GL({n})")
-    for q in q_list:   # a bad q is a usage error, whatever the estimate
-        GF(q)
-    # each of the C(w + n - 1, n)^2 pairs adds >= |q_list|: nu = lam + mu
-    width = coord_max - coord_min + 1
-    if math.comb(width + n - 1, n) ** 2 * len(q_list) > _CERTIFY_WORK:
-        raise TooLarge(f"certify work estimate exceeds {_CERTIFY_WORK}")
-    doms = list(dominant_coweights_in_box(datum, coord_min, coord_max))
-    # each pair (lam, mu) adds >= forms(lam): nu = lam + mu has factor >= 1
-    if len(doms) * sum(lo.candidate_count(n, q, max(map(abs, lam)))
-                       for lam in doms for q in q_list) > _CERTIFY_WORK:
-        raise TooLarge(f"certify work estimate exceeds {_CERTIFY_WORK}")
-    plan, work = [], 0
-    for lam, mu in itertools.product(doms, repeat=2):
-        nus = datum.dominant_below(tuple(a + b for a, b in zip(lam, mu)))
-        plan.append((lam, mu, nus))
-        forms = sum(lo.candidate_count(n, q, max(map(abs, lam)))
-                    for q in q_list)
-        work += forms * sum((4 * max(map(abs, lam + nu)) + 1) ** 2
-                            for nu in nus)
-        if work > _CERTIFY_WORK:
-            raise TooLarge(f"certify work estimate exceeds {_CERTIFY_WORK}")
+    plan = lo.convolution_plan(n, q_list, coord_min, coord_max)
     rows, all_match = [], True
     for lam, mu, admissible in plan:
         product = hs.convolve_basis(datum, lam, mu)
@@ -428,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conv-bound", type=int, default=None,
                    help="also tabulate convolutions on this coordinate box")
     p.add_argument("--csv", default=None, help="CSV path prefix")
-    p.add_argument("--workers", type=int, default=None,
-                   help="enumeration processes (default: auto)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="enumeration processes (default: 1)")
     p.add_argument("--selftest", action="store_true",
                    help="run seeded randomized invariance checks")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,

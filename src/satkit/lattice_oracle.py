@@ -18,6 +18,7 @@ them mod t^P, P above every valuation that can occur, checked by val det.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from functools import lru_cache
@@ -31,6 +32,9 @@ from .root_datum import Vec, dominant_coweights_in_box, make_root_datum
 
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV = "SATKIT_BUDGET"
+# a convolution table is refused above this brute-side work estimate: per row
+# (q, lam, mu, nu), lam's candidate forms times (4N + 1)^2, N = max |lam, nu|
+_CONVOLUTION_WORK = 2 * 10 ** 9
 
 Matrix = tuple[tuple[Poly, ...], ...]
 Profiles = Optional[Iterable[tuple[int, ...]]]
@@ -429,11 +433,20 @@ def _census_chunk(args) -> Counter:
     return out
 
 
+def clamp_workers(requested: int, chunks: int, cpus: int) -> int:
+    """The requested process count, clamped to [1, min(chunks, cpus)]."""
+    return max(1, min(requested, chunks, cpus))
+
+
 def cell_census(n: int, q: int, N: int, workers: int = 1) -> dict[Vec, int]:
-    """Counts of every relative position inv(L0, .) over the whole window."""
+    """Counts of every relative position inv(L0, .) over the whole window,
+    from at most min(workers, profiles, CPUs) processes."""
     _check_budget(n, q, N)
     profs = list(_profiles(n, N))
-    if workers > 1 and len(profs) > 1:
+    workers = clamp_workers(workers, len(profs), len(os.sched_getaffinity(0))
+                            if hasattr(os, "sched_getaffinity")
+                            else os.cpu_count() or 1)
+    if workers > 1:
         chunk_size = max(1, len(profs) // (4 * workers))
         chunks = [profs[i:i + chunk_size]
                   for i in range(0, len(profs), chunk_size)]
@@ -493,6 +506,37 @@ def brute_convolution(lam: Vec, mu: Vec, nu: Vec, q: int) -> int:
     return _convolution_histogram(n, q, lam, nu).get(mu, 0)
 
 
+def convolution_plan(n: int, q_list: Sequence[int], lo: int, hi: int,
+                     ) -> list[tuple[Vec, Vec, Sequence[Vec]]]:
+    """(lam, mu, every dominant nu <= lam + mu) for each pair of dominant
+    GL(n) coweights with coordinates in [lo, hi], lo <= hi; TooLarge when
+    counting them by ``brute_convolution`` at every q of q_list is estimated
+    above _CONVOLUTION_WORK.  The bounds run cheapest first."""
+    datum = make_root_datum(f"GL({n})")
+    for q in q_list:   # a bad q is a usage error, whatever the estimate
+        GF(q)
+
+    def refuse_above(work: int) -> None:
+        if work > _CONVOLUTION_WORK:
+            raise TooLarge(f"certify work estimate exceeds {_CONVOLUTION_WORK}")
+
+    # each of the C(w + n - 1, n)^2 pairs adds >= |q_list|: nu = lam + mu
+    refuse_above(math.comb(hi - lo + n, n) ** 2 * len(q_list))
+    doms = list(dominant_coweights_in_box(datum, lo, hi))
+    forms = {lam: sum(candidate_count(n, q, max(map(abs, lam)))
+                      for q in q_list) for lam in doms}
+    # each pair (lam, mu) adds >= forms(lam): nu = lam + mu has factor >= 1
+    refuse_above(len(doms) * sum(forms.values()))
+    plan, work = [], 0
+    for lam, mu in itertools.product(doms, repeat=2):
+        nus = datum.dominant_below(tuple(a + b for a, b in zip(lam, mu)))
+        plan.append((lam, mu, nus))
+        work += forms[lam] * sum((4 * max(map(abs, lam + nu)) + 1) ** 2
+                                 for nu in nus)
+        refuse_above(work)
+    return plan
+
+
 def interpolate_count(counter: Callable[[int], int],
                       q_list: Sequence[int]) -> QPoly:
     """Lagrange interpolation of a counting function in q.
@@ -539,17 +583,11 @@ def oracle_report(n: int, q: int, N: int, conv_bound: Optional[int] = None,
     census = cell_census(n, q, N, workers=workers)
     cells = [{"mu": list(mu), "count": census[mu]}
              for mu in sorted(census, reverse=True)]
-    convolutions = []
-    if conv_bound is not None:
-        datum = make_root_datum(f"GL({n})")
-        doms = list(dominant_coweights_in_box(datum, -conv_bound, conv_bound))
-        for lam in doms:
-            for mu in doms:
-                total = tuple(a + b for a, b in zip(lam, mu))
-                for nu in datum.dominant_below(total):
-                    convolutions.append({
-                        "lambda": list(lam), "mu": list(mu), "nu": list(nu),
-                        "count": brute_convolution(lam, mu, nu, q)})
+    plan = ([] if conv_bound is None else
+            convolution_plan(n, [q], -conv_bound, conv_bound))
+    convolutions = [{"lambda": list(lam), "mu": list(mu), "nu": list(nu),
+                     "count": brute_convolution(lam, mu, nu, q)}
+                    for lam, mu, nus in plan for nu in nus]
     return {"n": n, "q": q, "N": N, "cells": cells,
             "convolutions": convolutions}
 

@@ -24,6 +24,7 @@ exists to verify the q-analog computations independently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from operator import add, gt, mul, sub
 
@@ -31,7 +32,7 @@ from .errors import DomainError, InternalInconsistency, TooLarge, UnsupportedTyp
 from .polynomials import QPoly
 from .root_datum import RootDatum, Vec, _vadd, _vscale, _vsub
 
-_AMBIENT_WORD_BUDGET = 5_000_000  # n^d guard for the explicit construction
+_BLOCK_KEY_BUDGET = 5_000_000  # most block keys an explicit module may use
 _BK_DIM_CAP = 3000  # largest dim L_mu that bk_oracle builds explicitly
 _KOSTANT_WORK_BUDGET = 25_000_000  # coefficient additions in one table fill
 _DIM_BUDGET = 2_000_000  # largest module whose weights or summands we compute
@@ -290,9 +291,13 @@ class ExplicitModule:
         self.n = n
         self.partition = partition
         self.d = sum(partition)
-        if self.n ** max(self.d, 1) > _AMBIENT_WORD_BUDGET:
-            raise TooLarge(f"ambient tensor power {n}^{self.d} exceeds budget")
-        self.basis_by_weight = self._generate(_column_alternant(partition))
+        hw = _column_alternant(partition)
+        (blocks,) = hw   # a key holds k_c c-subsets per column length c
+        keys = math.prod(math.comb(math.comb(n, c) + k - 1, k) for c, k in
+                         Counter(map(len, blocks)).items())
+        if keys > _BLOCK_KEY_BUDGET:
+            raise TooLarge(f"{keys} block keys exceed budget {_BLOCK_KEY_BUDGET}")
+        self.basis_by_weight = self._generate(hw)
         self.dim = sum(len(v) for v in self.basis_by_weight.values())
 
     # the weight of a word, given by its blocks, is its content vector

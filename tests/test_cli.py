@@ -10,10 +10,11 @@ import time
 
 import pytest
 
+from satkit import lattice_oracle as lo
 from satkit import verlinde as vl
 from satkit import weyl_rep as wr
-from satkit.cli import (_json, build_parser, clamp_workers, main,
-                         run_certification)
+from satkit.cli import _json, build_parser, main, run_certification
+from satkit.lattice_oracle import clamp_workers
 from satkit.root_datum import make_root_datum
 
 
@@ -74,6 +75,26 @@ def test_qanalog(capsys):
     assert payload["a_poly"] == [1]
     assert payload["bk_poly"] == [0, 1]
     assert payload["agree"] is True
+
+
+def test_bk_oracle_sizes_its_module_by_block_keys(capsys):
+    # 3^15 words of length 15, but 136 = C(3 + 15 - 1, 15) block keys
+    code, out, _ = run(capsys, *"qanalog --type GL --rank 3 --mu 15,0,0 "
+                                "--lam 5,5,5 --bk-oracle".split())
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["bk_poly"] == payload["m_poly"] == [0] * 15 + [1]
+    assert payload["agree"] is True
+
+
+def test_bk_oracle_over_the_block_key_budget_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(wr, "_BLOCK_KEY_BUDGET", 135)
+    wr._explicit_module.cache_clear()
+    code, out, err = run(capsys, *"qanalog --type GL --rank 3 --mu 15,0,0 "
+                                  "--lam 5,5,5 --bk-oracle".split())
+    assert code == 3 and out == ""
+    assert err.startswith("satkit: budget exceeded: 136 block keys")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_qanalog_equal_weights(capsys):
@@ -431,6 +452,8 @@ def test_gl2_weights_below_the_ray_bound(capsys):
      "517501d49421b91e01896df32be87666ea3135a439fedcd29458e18081764885"),
     ("certify --n 2 --q 2,3 --coord-min -1 --coord-max 1",
      "9628b581d9454b8cd0806f6bae8d693a00f0f1b645b6acd910f1ca1084f1a8d1"),
+    ("oracle --n 2 --q 3 --window 1 --conv-bound 2",
+     "18eba6e5bec1449c0103fbbc7fc3eebf4ec7b88703f79fdcae7c4d8457daf6ec"),
 ])
 def test_payload_bytes_are_pinned(argv, digest):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -576,6 +599,33 @@ def test_certify_huge_box_exits_3_before_listing(capsys, argv):
     assert code == 3 and out == ""
     assert err.startswith("satkit: budget exceeded: certify work estimate")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("n, q, bound", [(2, 3, 3), (2, 3, 4), (3, 2, 2),
+                                         (3, 2, 3)])
+@pytest.mark.parametrize("command", ["oracle", "certify"])
+def test_oracle_and_certify_refuse_the_same_boxes(capsys, command, n, q,
+                                                  bound):
+    # one estimate for both: without it, oracle --conv-bound ran these boxes
+    # for seconds to minutes
+    argv = {"oracle": f"--window 1 --conv-bound {bound}",
+            "certify": f"--coord-min -{bound} --coord-max {bound}"}[command]
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--n", str(n), "--q", str(q),
+                         *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == "satkit: budget exceeded: certify work estimate exceeds " \
+                  "2000000000\n"
+
+
+@pytest.mark.parametrize("n, q, bound", [(2, 2, 1), (2, 3, 2), (3, 2, 1)])
+def test_oracle_convolutions_are_certify_brute_rows(n, q, bound):
+    report = lo.oracle_report(n, q, 1, conv_bound=bound)
+    rows = run_certification(n, [q], -bound, bound)["rows"]
+    assert report["convolutions"] == [
+        {"lambda": r["lambda"], "mu": r["mu"], "nu": r["nu"],
+         "count": r["brute"]} for r in rows]
 
 
 def test_certify_refuses_a_listed_box_before_its_pairs(capsys):

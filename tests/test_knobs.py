@@ -4,11 +4,13 @@ other caps are module constants.
 
 The walk visits every public function of every satkit module and every
 public method of every class defined there, so a knob added later as a
-parameter fails here."""
+parameter fails here.  The same walk, private names included, resolves
+every annotation."""
 
 import importlib
 import inspect
 import pkgutil
+import typing
 
 import satkit
 from satkit import lattice_oracle as lo
@@ -16,11 +18,11 @@ from satkit import lattice_oracle as lo
 _KNOBS = {"budget", "dim_cap"}
 
 
-def _public_callables():
+def _public_callables(private=False):
     for info in pkgutil.iter_modules(satkit.__path__):
         module = importlib.import_module(f"satkit.{info.name}")
         for name, value in vars(module).items():
-            if name.startswith("_"):
+            if name.startswith("_") and not private:
                 continue
             obj = inspect.unwrap(value)   # a memoized class, such as GF
             if getattr(obj, "__module__", None) != module.__name__:
@@ -30,7 +32,11 @@ def _public_callables():
             elif inspect.isclass(obj):
                 yield f"{info.name}.{name}", obj.__init__
                 for attr, member in vars(obj).items():
-                    if not attr.startswith("_") and inspect.isfunction(member):
+                    # a staticmethod's function; not NamedTuple's __new__
+                    member = getattr(member, "__func__", member)
+                    if ((private or not attr.startswith("_"))
+                            and inspect.isfunction(member)
+                            and member.__module__ == module.__name__):
                         yield f"{info.name}.{name}.{attr}", member
 
 
@@ -54,3 +60,18 @@ def test_satkit_budget_is_read_in_one_place():
             assert source.count("os.environ") == body.count("os.environ") == 1
         else:
             assert "os.environ" not in source, info.name
+
+
+def test_every_annotation_resolves():
+    # with postponed annotations, a name the module does not import fails
+    # only when something, such as typing.get_type_hints, resolves it
+    found = dict(_public_callables(private=True))
+    assert {"cli._random_unimodular", "cli._oracle_selftest",
+            "weyl_rep.ExplicitModule._content"} <= set(found)
+    unresolved = {}
+    for name, fn in found.items():
+        try:
+            typing.get_type_hints(fn)
+        except NameError as exc:
+            unresolved[name] = str(exc)
+    assert unresolved == {}

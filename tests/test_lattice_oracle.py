@@ -655,6 +655,40 @@ def test_census_parallel_matches_serial():
     assert lo.cell_census(3, 3, 1, workers=2) == lo.cell_census(3, 3, 1)
 
 
+@pytest.mark.parametrize("requested, cpus, size", [
+    (10 ** 9, 64, 9),   # (2, 2, 1) has 9 diagonal profiles
+    (10 ** 9, 2, 2),
+    (3, 64, 3),
+    (1, 64, None),
+    (0, 64, None),
+])
+def test_census_clamps_its_workers(monkeypatch, requested, cpus, size):
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        # records its size and maps in this process: no process starts
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(lo.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    census = lo.cell_census(2, 2, 1, workers=requested)
+    assert sizes == ([] if size is None else [size])
+    assert census == lo.cell_census(2, 2, 1)
+
+
 def test_brute_convolution_frozen_values():
     assert lo.brute_convolution((1, 0), (1, 0), (1, 1), 2) == 3
     assert lo.brute_convolution((1, 0), (1, 0), (2, 0), 2) == 1
