@@ -75,6 +75,7 @@ class VirtualCharacter(_Span):
 
 
 def c_basis(datum: RootDatum, mu: Vec) -> HeckeElement:
+    datum.require_dominant(mu)
     return HeckeElement(datum, {mu: Laurent.ONE})
 
 
@@ -171,6 +172,7 @@ def hecke_convolve(datum: RootDatum, h1: HeckeElement,
 
 def convolve_basis(datum: RootDatum, lam: Vec, mu: Vec) -> HeckeElement:
     """c_lam * c_mu."""
+    datum.require_dominant(lam, "lam")   # c_basis checks mu, as "mu"
     return hecke_convolve(datum, c_basis(datum, lam), c_basis(datum, mu))
 
 

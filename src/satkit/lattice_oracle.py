@@ -6,13 +6,14 @@ as its unique column-style Hermite normal form (upper triangular, diagonal
 t^d_i with 0 <= d_i <= 2N, entries right of a pivot reduced modulo it).
 The enumeration generates only the columns that keep t^{2N} L0 inside the
 form, so no candidate is rejected, in families that differ only in H[0][n-1].
-Relative positions are Smith valuations over GF(q)[[t]].  Below rank 4 the
-first k sum to the least valuation of a k x k minor of the Hermite form H
-(a divisor chain); at rank >= 4 and N <= 1 they lie in {0, 1, 2}, the rank
-of H mod t counts the zeros and val det H fixes the rest.  In a family these
-move only with val H[0][n-1] or its constant term.  Otherwise (and in
-``relative_position`` and ``elementary_divisors``) one local kernel finds
-them mod t^P, P above every valuation that can occur, checked by val det.
+Relative positions are Smith valuations over GF(q)[[t]] of an upper triangular
+H with powers of t on its diagonal, less an offset: a Hermite form at N, or the
+solved matrix of ``relative_position`` at 2N.  Below rank 4 the first k sum to
+the least valuation of a k x k minor of H (a divisor chain); at rank >= 4 and
+offset <= 1 they lie in {0, 1, 2}, the rank of H mod t counts the zeros and
+val det H fixes the rest.  In a family these move only with val H[0][n-1] or
+its constant term.  Otherwise (and in ``elementary_divisors``) one local
+kernel finds them mod t^P, P above every valuation, checked by val det.
 """
 
 from __future__ import annotations
@@ -357,13 +358,13 @@ def _rank_mod_t(f: GF, mat: Matrix) -> int:
 
 def _positions(ring: PolyRing, memo: dict, N: int, rows: Sequence[Sequence],
                d: Vec, f: Poly, m: int) -> list[Vec]:
-    """inv(L0, .) of each family member in order; ``memo`` spans one walk."""
+    """inv of each member, its Smith valuations less N; memo spans one walk."""
     n, total, q = len(d), sum(d), ring.field.q
     tops = itertools.product(range(q), repeat=m)
     if n >= 4 and N >= 2:   # the local kernel, per member
         return [tuple(sorted((v - N for v in _t_valuations(
-            ring.field, lat.mat, 2 * N + 1, total)), reverse=True))
-            for lat in _members(ring, N, rows, d, f, m)]
+            ring.field, [[*rows[0][:-1], ring.normalize(f + top)], *rows[1:]],
+            2 * N + 1, total)), reverse=True)) for top in tops]
     if n >= 4:   # N <= 1: valuations in {0, 1, 2}; rank H mod t counts 0s
         keys, pos = [f[0] if f else top[0] if top else 0 for top in tops], {}
         for c in set(keys):
@@ -404,14 +405,15 @@ def inv_from_standard(lat: LatticeHNF) -> Vec:
 
 
 def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
-    """inv(lat1, lat2): divisors of the matrix of a basis of lat2 in a basis
-    of lat1, with the window rescaling cancelled."""
+    """inv(lat1, lat2): divisors of the matrix X of a basis of lat2 in a
+    basis of lat1, read by ``_positions`` at offset 2N, which cancels the
+    window rescaling; the local kernel runs only at rank >= 4, N >= 1."""
     if (lat1.n, lat1.q, lat1.window) != (lat2.n, lat2.q, lat2.window):
         raise ShapeError("lattices live in different ambient parameters")
     n, N = lat1.n, lat1.window
     ring = PolyRing(GF(lat1.q))
-    # Solve H1 X = t^{2N} H2; X is polynomial because t^{2N} L0 <= lat1,
-    # and upper triangular because H1 and H2 are.
+    # Solve H1 X = t^{2N} H2; X is polynomial because t^{2N} L0 <= lat1, and
+    # upper triangular with powers of t on its diagonal because H1 and H2 are.
     cols = []
     for j in range(n):
         rhs = [_shift(lat2.mat[i][j], 2 * N) for i in range(j + 1)]
@@ -419,10 +421,9 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
         if sol is None:
             raise InternalInconsistency("window solve left a remainder")
         cols.append(sol + [()] * (n - 1 - j))
-    det_val = sum(2 * N + b - a for a, b in
-                  zip(lat1.diag_exponents(), lat2.diag_exponents()))
-    vals = _t_valuations(ring.field, list(zip(*cols)), 4 * N + 1, det_val)
-    return tuple(sorted((v - 2 * N for v in vals), reverse=True))
+    X = list(zip(*cols))
+    d = tuple(len(X[i][i]) - 1 for i in range(n))
+    return _positions(ring, {}, 2 * N, X, d, X[0][-1], 0)[0]
 
 
 def _census_chunk(args) -> Counter:

@@ -8,7 +8,7 @@ semismall upper bound for convolution fibers.
 
 from __future__ import annotations
 
-from .errors import DomainError, EmptyFiber, EmptyIntersection, InternalInconsistency
+from .errors import EmptyFiber, EmptyIntersection, InternalInconsistency
 from .root_datum import RootDatum, Vec, _vadd, _vsub
 from . import weyl_rep
 
@@ -61,8 +61,7 @@ def is_quasi_minuscule(datum: RootDatum, mu: Vec) -> bool:
 
 def parabolic_flag_dim(datum: RootDatum, mu: Vec) -> int:
     """dim G/P_mu = number of roots pairing positively with mu."""
-    if len(mu) != datum.dim:
-        raise DomainError(f"coweight length {len(mu)} != {datum.dim}")
+    datum._check(mu)   # a ShapeError even when there are no roots to pair
     return sum(1 for a in datum.roots if datum.pairing(a, mu) > 0)
 
 

@@ -448,8 +448,6 @@ def bk_oracle(datum: RootDatum, mu: Vec, lam: Vec) -> QPoly:
     d = dim_rep(datum, mu)
     if d > _BK_DIM_CAP:
         raise TooLarge(f"dim L_mu = {d} exceeds cap {_BK_DIM_CAP}")
-    if any(x < 0 for x in lam_p):
-        return QPoly.ZERO
     module = _explicit_module(n, mu_p)
     if module.dim != d:
         raise InternalInconsistency(

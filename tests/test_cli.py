@@ -480,8 +480,11 @@ def test_verlinde_batch(capsys, tmp_path):
      "line 3: missing key 'm'"),
     (b'{"n": 2, "g": 1, "m": 1.5}\n', "line 1: m must be an integer"),
     (b'\xff\xfe{"n": 2}\n', "cannot decode"),
+    (b'[1, 2, 3]\n', "line 1: expected a JSON object"),
+    (b'{"n": 2, "g": 1, "m": 1}\n{"n": 1, "g": 1, "m": 1}\n',
+     "line 2: n=1 must be >= 2"),
 ], ids=["missing_file", "not_json", "missing_key", "not_integer",
-        "undecodable"])
+        "undecodable", "not_an_object", "n_below_2"])
 def test_verlinde_batch_bad_input_exits_2(capsys, tmp_path, content, message):
     batch = tmp_path / "queries.jsonl"
     if content is not None:
@@ -495,6 +498,21 @@ def test_verlinde_batch_bad_input_exits_2(capsys, tmp_path, content, message):
 def test_verlinde_missing_args(capsys):
     code, _, err = run(capsys, "verlinde", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("certify --n 2 --q 2,x", "cannot parse q list '2,x'"),
+    ("verlinde --ade A2", "--ade requires --g"),
+    ("convolve --type GL --rank 2 --lam 0,1 --mu 0,1",
+     "lam=(0, 1) is not dominant for GL(2)"),
+    ("convolve --type GL --rank 2 --lam 1,0 --mu 0,1",
+     "mu=(0, 1) is not dominant for GL(2)"),
+    ("satake --type GL --rank 2 --mu 0,1",
+     "mu=(0, 1) is not dominant for GL(2)"),
+], ids=["q_list", "ade_without_g", "convolve_lam", "convolve_mu", "satake_mu"])
+def test_bad_argument_is_named(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"satkit: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

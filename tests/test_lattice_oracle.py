@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from satkit import lattice_oracle as lo
+from satkit.cli import main
 from satkit.errors import (DomainError, InternalInconsistency,
                            NonPolynomialCount, ShapeError, SingularMatrix,
                            TooLarge, WindowError)
@@ -252,13 +253,14 @@ def test_two_walks_give_equal_records():
 
 @pytest.mark.parametrize("n,q,N", WALK_CASES + [(3, 3, 1)])
 def test_census_matches_the_kernel_route(n, q, N):
-    """The census reads positions off valuations per family; the column
-    solve and the Smith kernel of relative_position are a route that shares
-    neither the divisor rule nor the rank rule.  (3, 3, 1) has members whose
-    cross minor cancels."""
-    std = lo.t_power_lattice((0,) * n, q, N)
-    ref = Counter(lo.relative_position(std, lat)
-                  for lat in lo.enumerate_lattices(n, q, N))
+    """The census reads positions off valuations per family; the Smith
+    kernel on each lattice's Hermite form is a route that shares neither
+    the divisor rule nor the rank rule.  (3, 3, 1) has members whose cross
+    minor cancels."""
+    field = GF(q)
+    ref = Counter(tuple(sorted((v - N for v in lo._t_valuations(
+        field, lat.mat, 2 * N + 1, sum(lat.diag_exponents()))), reverse=True))
+        for lat in lo.enumerate_lattices(n, q, N))
     assert lo.cell_census(n, q, N) == ref
     if (n, q, N) == (3, 3, 1):
         ring = PolyRing(GF(q))
@@ -447,6 +449,33 @@ def test_relative_position_matches_divisors():
         l1, l2 = rng.choice(lats), rng.choice(lats)
         assert lo.relative_position(l1, l2) == \
             _reference_position(ring, l1, l2)
+    # rank 4 at N = 1: relative_position goes through the kernel
+    rng = random.Random(19)
+    ring = PolyRing(GF(2))
+    lats = list(lo.enumerate_lattices(4, 2, 1))
+    for _ in range(200):
+        l1, l2 = rng.choice(lats), rng.choice(lats)
+        assert lo.relative_position(l1, l2) == \
+            _reference_position(ring, l1, l2)
+
+
+def test_relative_position_needs_no_kernel_below_rank_4(monkeypatch,
+                                                        capsys):
+    """Below rank 4 relative_position reads its solved matrix by the
+    divisor rule, so neither it nor certify reaches the local kernel."""
+    def refuse(*args):
+        raise AssertionError("the local kernel ran below rank 4")
+
+    monkeypatch.setattr(lo, "_local_valuations", refuse)
+    for window in [(2, 3, 1), (3, 2, 1)]:
+        lats = list(lo.enumerate_lattices(*window))
+        for l1, l2 in itertools.product(lats, repeat=2):
+            lo.relative_position(l1, l2)
+    lo._convolution_histogram.cache_clear()   # a memo hit would skip the call
+    lo._window_cells.cache_clear()
+    assert main(["certify", "--n", "3", "--q", "2,3", "--coord-min", "0",
+                 "--coord-max", "1"]) == 0
+    assert capsys.readouterr().err == "40 rows, all match\n"
 
 
 def _random_matrix(ring, n, rng, low=0):
@@ -492,8 +521,9 @@ def test_elementary_divisors_rank_deficient():
 
 def test_valuation_sum_guard(monkeypatch):
     """A Smith kernel whose valuations miss val det is caught."""
-    lat = lo.t_power_lattice((1, 0, -1), 3, 1)
-    std = lo.t_power_lattice((0, 0, 0), 3, 1)
+    # rank 4 at N = 1: relative_position goes through the kernel
+    lat = lo.t_power_lattice((1, 0, 0, -1), 3, 1)
+    std = lo.t_power_lattice((0, 0, 0, 0), 3, 1)
     # rank 4 at N = 2: inv_from_standard goes through the kernel
     wide = lo.t_power_lattice((1, 0, 0, -1), 3, 2)
     monkeypatch.setattr(lo, "_local_valuations", lambda *args: [0, 0, 0, 0])
@@ -524,12 +554,15 @@ def test_rank_rule_guard(monkeypatch):
 
 def test_divisor_chain_guard(monkeypatch):
     """Determinantal divisors whose differences decrease are caught, by
-    inv_from_standard and by the census."""
+    inv_from_standard, relative_position and the census."""
     monkeypatch.setattr(lo, "_hermite_divisors",
                         lambda d, *vals: [2, 3, 6][:len(d)])
     for mu in [(1, -1), (1, 0, -1)]:
+        lat = lo.t_power_lattice(mu, 3, 1)
         with pytest.raises(InternalInconsistency, match="divisor chain"):
-            lo.inv_from_standard(lo.t_power_lattice(mu, 3, 1))
+            lo.inv_from_standard(lat)
+        with pytest.raises(InternalInconsistency, match="divisor chain"):
+            lo.relative_position(lo.t_power_lattice((0,) * len(mu), 3, 1), lat)
         with pytest.raises(InternalInconsistency, match="divisor chain"):
             lo.cell_census(len(mu), 3, 1)
 

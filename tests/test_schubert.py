@@ -4,7 +4,8 @@ import pytest
 
 from satkit import schubert as sch
 from satkit import weyl_rep as wr
-from satkit.errors import DomainError, EmptyFiber, EmptyIntersection
+from satkit.errors import (DomainError, EmptyFiber, EmptyIntersection,
+                           ShapeError)
 from satkit.root_datum import dominant_coweights_in_box, make_root_datum
 from weyl_reference import REFERENCE_LABELS, reference_highest_weights
 
@@ -74,6 +75,12 @@ def test_parabolic_flag_dim():
     assert sch.parabolic_flag_dim(GL2, (0, 0)) == 0
     assert sch.parabolic_flag_dim(GL2, (1, 0)) == 1
     assert sch.parabolic_flag_dim(GL3, (1, 0, -1)) == 3
+
+
+def test_parabolic_flag_dim_wrong_length_is_a_shape_error():
+    for datum, mu in [(GL2, (1, 0, -1)), (make_root_datum("GL(1)"), (1, 0))]:
+        with pytest.raises(ShapeError, match=f"length {datum.dim}"):
+            sch.parabolic_flag_dim(datum, mu)
 
 
 def test_opposite_codim():
