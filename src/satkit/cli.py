@@ -229,24 +229,21 @@ def run_certification(n: int, q_list: Sequence[int], coord_min: int,
     if coord_min > coord_max:
         raise DomainError(f"empty coordinate box [{coord_min}, {coord_max}]"
                           ": nothing to certify")
-    datum = make_root_datum(f"GL({n})")
     plan = lo.convolution_plan(n, q_list, coord_min, coord_max)
-    rows, all_match = [], True
-    for lam, mu, admissible in plan:
-        product = hs.convolve_basis(datum, lam, mu)
-        for q in q_list:
-            values = hs.evaluate_at(datum, product, q)
-            for nu in admissible:
-                sym = values.get(nu, 0)
-                brute = lo.brute_convolution(lam, mu, nu, q)
-                match = sym == brute
-                all_match = all_match and match
+    brute_table = lo.convolution_counts(plan, q_list)
+    datum = make_root_datum(f"GL({n})")
+    rows = []
+    for (lam, mu, admissible), *by_q in zip(plan, *brute_table):
+        consts = hs.structure_constants(datum, lam, mu)
+        for q, counts in zip(q_list, by_q):
+            for nu, brute in zip(admissible, counts):
+                sym = consts[nu](q) if nu in consts else 0
                 rows.append({"lambda": list(lam), "mu": list(mu),
-                             "nu": list(nu), "q": q,
-                             "symbolic": sym, "brute": brute, "match": match})
+                             "nu": list(nu), "q": q, "symbolic": sym,
+                             "brute": brute, "match": sym == brute})
     return {"schema": SCHEMA, "n": n, "q_list": list(q_list),
             "coord_min": coord_min, "coord_max": coord_max,
-            "rows": rows, "all_match": all_match}
+            "rows": rows, "all_match": all(r["match"] for r in rows)}
 
 
 def cmd_certify(args) -> int:

@@ -5,9 +5,9 @@ Coefficients live in Z[v, v^-1] with v standing for -q^(1/2); the transform
 sends f_mu to v^<2rho,mu> chi_mu, and convolution is computed through the
 character ring, where multiplication is a tensor-product decomposition.
 S(c_mu) is memoized per (datum, mu), by back-substitution in height order
-(decreasing <2rho,lam>); the transform is linear over that memo.
-Coefficients of c-basis products are asserted to be polynomials in q = v^2
-with nonnegative integer coefficients; a violation raises
+(decreasing <2rho,lam>); the transform is linear over that memo.  Each
+product c_lam * c_mu is memoized too, its coefficients asserted once to be
+polynomials in q = v^2 with nonnegative values at q = 2, 3; a violation raises
 InternalInconsistency because it signals a wrong normalization, not bad input.
 """
 
@@ -170,8 +170,9 @@ def hecke_convolve(datum: RootDatum, h1: HeckeElement,
     return out
 
 
+@lru_cache(maxsize=4096)
 def convolve_basis(datum: RootDatum, lam: Vec, mu: Vec) -> HeckeElement:
-    """c_lam * c_mu."""
+    """c_lam * c_mu, memoized, so checked once; shared, so read it only."""
     datum.require_dominant(lam, "lam")   # c_basis checks mu, as "mu"
     return hecke_convolve(datum, c_basis(datum, lam), c_basis(datum, mu))
 

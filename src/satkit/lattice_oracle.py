@@ -14,6 +14,7 @@ offset <= 1 they lie in {0, 1, 2}, the rank of H mod t counts the zeros and
 val det H fixes the rest.  In a family these move only with val H[0][n-1] or
 its constant term.  Otherwise (and in ``elementary_divisors``) one local
 kernel finds them mod t^P, P above every valuation, checked by val det.
+``convolution_counts`` checks a whole plan once, then reads each row's memo.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .root_datum import Vec, dominant_coweights_in_box, make_root_datum
 
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV = "SATKIT_BUDGET"
-# a convolution table is refused above this brute-side work estimate: per row
-# (q, lam, mu, nu), lam's candidate forms times (4N + 1)^2, N = max |lam, nu|
+# brute-side work bound of a convolution table: per row (q, lam, mu, nu), lam's
+# candidate forms (n = 1: one lattice) times (4N + 1)^2, N = max |lam, nu|
 _CONVOLUTION_WORK = 2 * 10 ** 9
 
 Matrix = tuple[tuple[Poly, ...], ...]
@@ -491,28 +492,42 @@ def _convolution_histogram(n: int, q: int, lam: Vec, nu: Vec) -> dict:
     return counts
 
 
+def convolution_counts(plan: Sequence[tuple[Vec, Vec, Sequence[Vec]]],
+                       q_list: Sequence[int]) -> list[list[list[int]]]:
+    """``brute_convolution`` of each (lam, mu, nu) of plan, by q, entry and nu;
+    each triple checked once, the budget once per (q, lam), before counting."""
+    for lam, mu, nus in plan:
+        for nu in nus:
+            if not (len(lam) == len(mu) == len(nu)):
+                raise ShapeError("lam, mu, nu must have equal length")
+            datum = make_root_datum(f"GL({len(lam)})")
+            for v, name in ((lam, "lam"), (mu, "mu"), (nu, "nu")):
+                datum.require_dominant(v, name)
+    same = [[sum(lam) + sum(mu) == sum(nu) for nu in nus]
+            for lam, mu, nus in plan]
+    for lam in dict.fromkeys(e[0] for e, s in zip(plan, same) if any(s)):
+        for q in q_list:
+            _check_budget(len(lam), q, max(map(abs, lam)))
+    # q outermost: each count reads GF(q) from a memo of 16 fields
+    return [[[_convolution_histogram(len(lam), q, lam, nu).get(mu, 0) if ok
+              else 0 for nu, ok in zip(nus, oks)]
+             for (lam, mu, nus), oks in zip(plan, same)] for q in q_list]
+
+
 def brute_convolution(lam: Vec, mu: Vec, nu: Vec, q: int) -> int:
-    """Number of lattices L' with inv(L0, L') = lam and inv(L', t^nu L0) = mu,
-    which is the value of the convolution c_lam * c_mu at t^nu."""
-    if not (len(lam) == len(mu) == len(nu)):
-        raise ShapeError("lam, mu, nu must have equal length")
-    n = len(lam)
-    datum = make_root_datum(f"GL({n})")
-    datum.require_dominant(lam, "lam")
-    datum.require_dominant(mu, "mu")
-    datum.require_dominant(nu, "nu")
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
-    _check_budget(n, q, max((abs(x) for x in lam), default=0))
-    return _convolution_histogram(n, q, lam, nu).get(mu, 0)
+    """Count of lattices L' with inv(L0, L') = lam, inv(L', t^nu L0) = mu: the
+    value of c_lam * c_mu at t^nu, as ``convolution_counts`` of one triple."""
+    return convolution_counts([(lam, mu, [nu])], [q])[0][0][0]
 
 
 def convolution_plan(n: int, q_list: Sequence[int], lo: int, hi: int,
                      ) -> list[tuple[Vec, Vec, Sequence[Vec]]]:
     """(lam, mu, every dominant nu <= lam + mu) for each pair of dominant
     GL(n) coweights with coordinates in [lo, hi], lo <= hi; TooLarge when
-    counting them by ``brute_convolution`` at every q of q_list is estimated
+    counting them by ``convolution_counts`` at every q of q_list is estimated
     above _CONVOLUTION_WORK.  The bounds run cheapest first."""
+    if n < 1:
+        raise DomainError(f"n={n} must be >= 1")
     datum = make_root_datum(f"GL({n})")
     for q in q_list:   # a bad q is a usage error, whatever the estimate
         GF(q)
@@ -524,8 +539,8 @@ def convolution_plan(n: int, q_list: Sequence[int], lo: int, hi: int,
     # each of the C(w + n - 1, n)^2 pairs adds >= |q_list|: nu = lam + mu
     refuse_above(math.comb(hi - lo + n, n) ** 2 * len(q_list))
     doms = list(dominant_coweights_in_box(datum, lo, hi))
-    forms = {lam: sum(candidate_count(n, q, max(map(abs, lam)))
-                      for q in q_list) for lam in doms}
+    forms = {lam: sum(candidate_count(n, q, max(map(abs, lam))) if n > 1
+                      else 1 for q in q_list) for lam in doms}
     # each pair (lam, mu) adds >= forms(lam): nu = lam + mu has factor >= 1
     refuse_above(len(doms) * sum(forms.values()))
     plan, work = [], 0
@@ -586,8 +601,9 @@ def oracle_report(n: int, q: int, N: int, conv_bound: Optional[int] = None,
              for mu in sorted(census, reverse=True)]
     plan = ([] if conv_bound is None else
             convolution_plan(n, [q], -conv_bound, conv_bound))
+    counts = (c for by_nu in convolution_counts(plan, [q])[0] for c in by_nu)
     convolutions = [{"lambda": list(lam), "mu": list(mu), "nu": list(nu),
-                     "count": brute_convolution(lam, mu, nu, q)}
+                     "count": next(counts)}
                     for lam, mu, nus in plan for nu in nus]
     return {"n": n, "q": q, "N": N, "cells": cells,
             "convolutions": convolutions}

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -10,10 +11,13 @@ import time
 
 import pytest
 
+from satkit import hecke_satake as hs
 from satkit import lattice_oracle as lo
 from satkit import verlinde as vl
 from satkit import weyl_rep as wr
 from satkit.cli import _json, build_parser, main, run_certification
+from satkit.errors import TooLarge
+from satkit.finite_field import GF
 from satkit.lattice_oracle import clamp_workers
 from satkit.root_datum import make_root_datum
 
@@ -255,12 +259,13 @@ def test_certify_gl1(capsys):
 def test_certify_mismatch_exits_1(capsys, monkeypatch):
     import satkit.cli as cli_mod
 
-    real = cli_mod.lo.brute_convolution
+    real = cli_mod.lo.convolution_counts
 
-    def corrupted(lam, mu, nu, q):
-        return real(lam, mu, nu, q) + 1
+    def corrupted(plan, q_list):
+        return [[[count + 1 for count in counts] for counts in by_entry]
+                for by_entry in real(plan, q_list)]
 
-    monkeypatch.setattr(cli_mod.lo, "brute_convolution", corrupted)
+    monkeypatch.setattr(cli_mod.lo, "convolution_counts", corrupted)
     code, out, _ = run(capsys, "certify", "--n", "2", "--q", "2",
                        "--bound", "0")
     assert code == 1
@@ -509,7 +514,10 @@ def test_verlinde_missing_args(capsys):
      "mu=(0, 1) is not dominant for GL(2)"),
     ("satake --type GL --rank 2 --mu 0,1",
      "mu=(0, 1) is not dominant for GL(2)"),
-], ids=["q_list", "ade_without_g", "convolve_lam", "convolve_mu", "satake_mu"])
+    ("certify --n 0 --q 2", "n=0 must be >= 1"),
+    ("certify --n -1 --q 2", "n=-1 must be >= 1"),
+], ids=["q_list", "ade_without_g", "convolve_lam", "convolve_mu", "satake_mu",
+        "certify_n_0", "certify_n_negative"])
 def test_bad_argument_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"satkit: {message}\n")
@@ -646,6 +654,100 @@ def test_oracle_convolutions_are_certify_brute_rows(n, q, bound):
          "count": r["brute"]} for r in rows]
 
 
+def _work_estimate(n, q_list, lo_, hi):
+    """The brute-side work of a box, written out: per row (q, lam, mu, nu),
+    lam's candidate forms (at n = 1, its one lattice) times (4N + 1)^2."""
+    datum = make_root_datum(f"GL({n})")
+    doms = [v for v in itertools.product(range(lo_, hi + 1), repeat=n)
+            if datum.is_dominant(v)]
+    work = 0
+    for lam, mu in itertools.product(doms, repeat=2):
+        forms = sum(lo.candidate_count(n, q, max(map(abs, lam))) if n > 1
+                    else 1 for q in q_list)
+        for nu in datum.dominant_below(tuple(a + b for a, b in zip(lam, mu))):
+            work += forms * (4 * max(map(abs, lam + nu)) + 1) ** 2
+    return work
+
+
+@pytest.mark.parametrize("box", [(-1, 1), (0, 2), (-2, 1), (-3, -1)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_work_estimate_is_pinned(monkeypatch, n, box):
+    # the plan admits the box at its estimate and refuses it one below
+    for q_list in ([2], [3, 5], [2, 3, 4, 5, 7]):
+        work = _work_estimate(n, q_list, *box)
+        monkeypatch.setattr(lo, "_CONVOLUTION_WORK", work)
+        assert lo.convolution_plan(n, q_list, *box)
+        monkeypatch.setattr(lo, "_CONVOLUTION_WORK", work - 1)
+        with pytest.raises(TooLarge):
+            lo.convolution_plan(n, q_list, *box)
+
+
+def test_gl1_rows_are_charged_their_one_lattice(capsys):
+    # charged 2N + 1 candidate forms a row, these boxes were refused
+    assert lo.convolution_plan(1, [2], -78, 78)
+    with pytest.raises(TooLarge):
+        lo.convolution_plan(1, [2], -79, 79)
+    code, out, _ = run(capsys, "oracle", "--n", "1", "--q", "2",
+                       "--window", "1", "--conv-bound", "31")
+    assert code == 0
+    rows = json.loads(out)["convolutions"]
+    assert len(rows) == 63 ** 2 and {r["count"] for r in rows} == {1}
+
+
+def test_certify_builds_each_field_once_per_count():
+    # the counts run q by q, so 17 fields cycle through the 16-field memo of
+    # GF once, not once per row
+    qs = [2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37]
+    GF.cache_clear()
+    assert run_certification(1, qs, -2, 2)["all_match"]
+    assert GF.cache_info().misses <= 2 * len(qs)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_budget_refuses_a_later_lam_of_the_box(capsys, monkeypatch, warm):
+    # lam = (0, 0) is one candidate form; (0, -1) is 39 at q = 3, 21 at q = 2
+    argv = ["certify", "--n", "2", "--q", "3,2", "--coord-min", "-1",
+            "--coord-max", "0"]
+    for memo in (lo._window_cells, lo._convolution_histogram,
+                 hs.convolve_basis):
+        memo.cache_clear()
+    if warm:
+        assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("SATKIT_BUDGET", "1")
+    assert run(capsys, *argv) == (
+        3, "", "satkit: budget exceeded: 39 candidate forms exceed budget 1\n")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_certify_list_prints_the_same_bytes_warm(capsys, seed):
+    # the benchmark's certify list: in a fresh process, then twice in this one
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    script = ("import contextlib, hashlib, io, sys, workloads, satkit.cli\n"
+              "for argv in workloads.requests('certify', int(sys.argv[1])):\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        code = satkit.cli.main(argv)\n"
+              "    print(code, hashlib.sha256(out.getvalue().encode())"
+              ".hexdigest())\n")
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", script, str(seed)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    fresh = proc.stdout.splitlines()
+    assert len(fresh) == len(workloads.requests("certify", seed))
+    for _ in range(2):
+        here = []
+        for argv in workloads.requests("certify", seed):
+            code, out, _ = run(capsys, *argv)
+            here.append(f"{code} {hashlib.sha256(out.encode()).hexdigest()}")
+        assert here == fresh
+
+
 def test_certify_refuses_a_listed_box_before_its_pairs(capsys):
     # the box bound admits this box; every pair adds at least the forms of
     # its lam, so the sum over the listed box refuses it before any pair
@@ -666,8 +768,10 @@ def test_certify_work_estimate_admits(monkeypatch, n, q_list, box):
     import satkit.cli as cli_mod
 
     # with the brute side stubbed out, only the estimate could refuse
-    monkeypatch.setattr(cli_mod.lo, "brute_convolution",
-                        lambda lam, mu, nu, q: 0)
+    monkeypatch.setattr(cli_mod.lo, "convolution_counts",
+                        lambda plan, q_list: [[[0] * len(nus)
+                                               for _, _, nus in plan]
+                                              for _ in q_list])
     assert run_certification(n, q_list, *box)["rows"]
 
 

@@ -12,8 +12,10 @@ import pkgutil
 import pytest
 
 import satkit
+from satkit import hecke_satake as hs
 from satkit import root_datum
 from satkit import weyl_rep as wr
+from satkit.cli import run_certification
 from satkit.errors import TooLarge
 from satkit.root_datum import make_root_datum
 
@@ -37,7 +39,7 @@ def test_every_memo_is_bounded():
             "root_datum._dominant_below", "weyl_rep._freudenthal",
             "weyl_rep._kostant_table", "weyl_rep._explicit_module",
             "hecke_satake.ic_function", "hecke_satake._tensor",
-            "hecke_satake._basis_transform",
+            "hecke_satake._basis_transform", "hecke_satake.convolve_basis",
             "lattice_oracle._window_cells",
             "lattice_oracle._convolution_histogram",
             "finite_field.GF", "verlinde._histograms",
@@ -64,6 +66,28 @@ def test_memoized_walks_hand_out_copies():
         weights.pop(next(iter(kept)))
         assert wr.weight_multiplicities(datum, mu) == kept
         assert wr.weight_multiplicity(datum, mu, mu) == 1
+
+
+def test_memoized_product_is_shared_read_only():
+    gl2 = make_root_datum("GL(2)")
+    assert "read it only" in hs.convolve_basis.__doc__
+    product = hs.convolve_basis(gl2, (1, 0), (1, 0))
+    assert hs.convolve_basis(gl2, (1, 0), (1, 0)) is product
+    consts = hs.structure_constants(gl2, (1, 0), (1, 0))
+    kept = dict(consts)
+    consts.clear()
+    assert hs.structure_constants(gl2, (1, 0), (1, 0)) == kept
+
+
+def test_each_product_is_checked_once_per_process(monkeypatch):
+    real, calls = hs.hecke_convolve, []
+    monkeypatch.setattr(hs, "hecke_convolve",
+                        lambda *args: calls.append(args) or real(*args))
+    hs.convolve_basis.cache_clear()
+    rows = run_certification(2, [2, 3], -1, 1)["rows"]
+    assert len(calls) == 36   # the dominant pairs of the box, not per q
+    assert run_certification(2, [2, 3], -1, 1)["rows"] == rows
+    assert len(calls) == 36
 
 
 def test_refused_walk_caches_nothing(monkeypatch):
