@@ -4,7 +4,8 @@ Subcommands: geom, qanalog, convolve, satake, oracle, certify, verlinde.
 All payload output is deterministic JSON on stdout (schema-versioned, no
 timestamps); human summaries go to stderr.  Exit codes: 0 success,
 1 certification mismatch, 2 usage/parse error, 3 resource budget exceeded.
-The SATKIT_BUDGET environment variable caps enumeration sizes.
+The SATKIT_BUDGET environment variable caps enumeration sizes.  The CLI does
+no field arithmetic: ``oracle --selftest`` runs ``lo.oracle_selftest``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import weyl_rep as wr
 from .errors import (DomainError, IntegralityFailure, InternalInconsistency,
                      NonPolynomialCount, SatkitError, ShapeError, TooLarge,
                      UnsupportedType)
-from .finite_field import GF, PolyRing
 from .root_datum import Dominance, RootDatum, Vec, make_root_datum
 
 SCHEMA = "satkit/1"
@@ -46,6 +46,8 @@ def _parse_qlist(text: str) -> list[int]:
 
 
 def _datum(args) -> RootDatum:
+    if args.rank < 1:
+        raise DomainError(f"rank={args.rank} must be >= 1")
     label = args.type.upper()
     if label == "GL":
         return make_root_datum(f"GL({args.rank})")
@@ -152,51 +154,6 @@ def cmd_satake(args) -> int:
     return 0
 
 
-def _random_unimodular(ring, n: int, rng):
-    rows = [[ring.one if i == j else () for j in range(n)] for i in range(n)]
-    for _ in range(4 * n):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a == b:
-            continue
-        coeff = ring.normalize([rng.randrange(ring.field.q)
-                                for _ in range(rng.randrange(1, 3))])
-        rows[b] = [ring.add(x, ring.mul(coeff, y))
-                   for x, y in zip(rows[b], rows[a])]
-    return rows
-
-
-def _poly_matmul(ring, a, b):
-    """The matrix product a b over the polynomial ring."""
-    cols = list(zip(*b))
-    return [[functools.reduce(ring.add, map(ring.mul, row, col), ())
-             for col in cols] for row in a]
-
-
-def _oracle_selftest(n: int, q: int, N: int, rng) -> dict:
-    """Randomized invariance checks, reproducible through --seed."""
-    ring = PolyRing(GF(q))
-    checks = {"divisor_invariance": True, "duality": True}
-    for _ in range(5):
-        exps = sorted((rng.randrange(0, 2 * N + 1) for _ in range(n)),
-                      reverse=True)
-        M = [[ring.t_power(exps[i]) if i == j else () for j in range(n)]
-             for i in range(n)]
-        base = lo.elementary_divisors(M, q)
-        g = _random_unimodular(ring, n, rng)
-        h = _random_unimodular(ring, n, rng)
-        gmh = _poly_matmul(ring, _poly_matmul(ring, g, M), h)
-        if lo.elementary_divisors(gmh, q) != base:
-            checks["divisor_invariance"] = False
-    lats = list(lo.enumerate_lattices(n, q, N))
-    for _ in range(10):
-        l1, l2 = rng.choice(lats), rng.choice(lats)
-        fwd = lo.relative_position(l1, l2)
-        bwd = lo.relative_position(l2, l1)
-        if bwd != tuple(sorted((-x for x in fwd), reverse=True)):
-            checks["duality"] = False
-    return checks
-
-
 def cmd_oracle(args) -> int:
     n, q, N = args.n, args.q, args.window
     if args.workers < 1:
@@ -207,7 +164,7 @@ def cmd_oracle(args) -> int:
     if args.selftest:
         import random   # only here, so importing satkit skips it
         rng = random.Random(args.seed)
-        payload["selftest"] = _oracle_selftest(n, q, N, rng)
+        payload["selftest"] = lo.oracle_selftest(n, q, N, rng)
     if args.csv:
         try:
             paths = lo.report_to_csv(report, args.csv)

@@ -123,7 +123,6 @@ class PolyRing:
 
     def __init__(self, field: GF):
         self.field = field
-        self.one: Poly = (1,)
 
     def normalize(self, coeffs: Sequence[int]) -> Poly:
         cs = list(coeffs)

@@ -12,9 +12,11 @@ solved matrix of ``relative_position`` at 2N.  Below rank 4 the first k sum to
 the least valuation of a k x k minor of H (a divisor chain); at rank >= 4 and
 offset <= 1 they lie in {0, 1, 2}, the rank of H mod t counts the zeros and
 val det H fixes the rest.  In a family these move only with val H[0][n-1] or
-its constant term.  Otherwise (and in ``elementary_divisors``) one local
-kernel finds them mod t^P, P above every valuation, checked by val det.
-``convolution_counts`` checks a whole plan once, then reads each row's memo.
+its constant term; the divisor rule is one bounded memo for the process.
+Otherwise (and in ``elementary_divisors``, which ``oracle_selftest`` checks
+on random unimodular products) one local kernel finds them mod t^P, P above
+every valuation, checked by val det.  ``convolution_counts`` checks a whole
+plan once, then reads each row's memo.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import math
 import os
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (DomainError, InternalInconsistency, NonPolynomialCount,
@@ -161,6 +163,7 @@ def _families(n: int, q: int, N: int,
     ring = PolyRing(GF(q))
     neg = ring.field.neg
     # (H[i][j], x_i) for every free choice when acc_i = 0 and i > 0
+    # kept per walk (q^min(s, d) pairs each); census is 10-15% slower without
     unforced: dict[tuple[int, int], list[tuple[Poly, Poly]]] = {}
 
     def column(rows: list[list[Poly]], dexp: tuple[int, ...], j: int,
@@ -296,6 +299,45 @@ def elementary_divisors(mat: Sequence[Sequence[Sequence[int]]], q: int) -> Vec:
     return tuple(sorted(vals, reverse=True))
 
 
+def oracle_selftest(n: int, q: int, N: int, rng) -> dict:
+    """Randomized checks, reproducible through a seeded rng: the Smith form
+    of diag(t^e) times random unimodular matrices on both sides, and
+    inv(l2, l1) = -w0 inv(l1, l2) on random pairs of the window."""
+    ring = PolyRing(GF(q))
+
+    def unimodular() -> list[list[Poly]]:
+        rows = [[(1,) if i == j else () for j in range(n)] for i in range(n)]
+        for _ in range(4 * n):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                coeff = ring.normalize([rng.randrange(q) for _ in
+                                        range(rng.randrange(1, 3))])
+                rows[b] = [ring.add(x, ring.mul(coeff, y))
+                           for x, y in zip(rows[b], rows[a])]
+        return rows
+
+    def matmul(a, b) -> list[list[Poly]]:
+        return [[reduce(ring.add, map(ring.mul, row, col), ())
+                 for col in zip(*b)] for row in a]
+
+    checks = {"divisor_invariance": True, "duality": True}
+    for _ in range(5):
+        exps = sorted((rng.randrange(0, 2 * N + 1) for _ in range(n)),
+                      reverse=True)
+        M = [[ring.t_power(exps[i]) if i == j else () for j in range(n)]
+             for i in range(n)]
+        g, h = unimodular(), unimodular()
+        if elementary_divisors(matmul(matmul(g, M), h), q) != tuple(exps):
+            checks["divisor_invariance"] = False
+    lats = list(enumerate_lattices(n, q, N))
+    for _ in range(10):
+        l1, l2 = rng.choice(lats), rng.choice(lats)
+        fwd, bwd = relative_position(l1, l2), relative_position(l2, l1)
+        if bwd != tuple(sorted((-x for x in fwd), reverse=True)):
+            checks["duality"] = False
+    return checks
+
+
 def _t_valuations(field: GF, mat: Sequence[Sequence[Poly]], P: int,
                   det_val: int) -> list[int]:
     """Valuations of the Smith diagonal of a matrix between window lattices,
@@ -332,7 +374,8 @@ def _hermite_divisors(d: Sequence[int], v: int, cross: Optional[int] = None,
                                       v01 + d2, d1 + d2, cross), total]
 
 
-def _divisor_position(N: int, d: Sequence[int], *vals) -> Vec:
+@lru_cache(maxsize=4096)
+def _divisor_position(N: int, d: Vec, *vals) -> Vec:
     """inv(L0, L) at rank n <= 3 from its determinantal divisors, a chain."""
     least = _hermite_divisors(d, *vals)
     pos = [b - a - N for a, b in zip([0] + least, least)]
@@ -357,9 +400,9 @@ def _rank_mod_t(f: GF, mat: Matrix) -> int:
     return rank
 
 
-def _positions(ring: PolyRing, memo: dict, N: int, rows: Sequence[Sequence],
-               d: Vec, f: Poly, m: int) -> list[Vec]:
-    """inv of each member, its Smith valuations less N; memo spans one walk."""
+def _positions(ring: PolyRing, N: int, rows: Sequence[Sequence], d: Vec,
+               f: Poly, m: int) -> list[Vec]:
+    """inv of each member, its Smith valuations less N."""
     n, total, q = len(d), sum(d), ring.field.q
     tops = itertools.product(range(q), repeat=m)
     if n >= 4 and N >= 2:   # the local kernel, per member
@@ -393,15 +436,12 @@ def _positions(ring: PolyRing, memo: dict, N: int, rows: Sequence[Sequence],
                 h02 = _shift(ring.normalize(f + top), d[1])
                 cross = ring.sub(ring.mul(rows[0][1], rows[1][2]), h02)
                 keys[i] = (tie, _val(cross, total))
-    pos = memo.setdefault(d + fixed, {})
-    for key in set(keys).difference(pos):
-        pos[key] = _divisor_position(N, d, *key, *fixed)
-    return list(map(pos.__getitem__, keys))
+    return [_divisor_position(N, d, *key, *fixed) for key in keys]
 
 
 def inv_from_standard(lat: LatticeHNF) -> Vec:
     """Relative position inv(L0, lat): the one member of a family."""
-    return _positions(PolyRing(GF(lat.q)), {}, lat.window, lat.mat,
+    return _positions(PolyRing(GF(lat.q)), lat.window, lat.mat,
                       lat.diag_exponents(), lat.mat[0][-1], 0)[0]
 
 
@@ -424,14 +464,14 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
         cols.append(sol + [()] * (n - 1 - j))
     X = list(zip(*cols))
     d = tuple(len(X[i][i]) - 1 for i in range(n))
-    return _positions(ring, {}, 2 * N, X, d, X[0][-1], 0)[0]
+    return _positions(ring, 2 * N, X, d, X[0][-1], 0)[0]
 
 
 def _census_chunk(args) -> Counter:
     n, q, N, chunk = args
-    ring, memo, out = PolyRing(GF(q)), {}, Counter()
+    ring, out = PolyRing(GF(q)), Counter()
     for family in _families(n, q, N, chunk):
-        out.update(_positions(ring, memo, N, *family))
+        out.update(_positions(ring, N, *family))
     return out
 
 
@@ -470,10 +510,10 @@ def count_cell(mu: Vec, q: int, N: int, workers: int = 1) -> int:
 @lru_cache(maxsize=64)
 def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
     """Every lattice of the window, grouped by inv(L0, .), in walk order."""
-    ring, memo, cells = PolyRing(GF(q)), {}, {}
+    ring, cells = PolyRing(GF(q)), {}
     for family in _families(n, q, N):
         for lat, pos in zip(_members(ring, N, *family),
-                            _positions(ring, memo, N, *family)):
+                            _positions(ring, N, *family)):
             cells.setdefault(pos, []).append(lat)
     return {lam: tuple(lats) for lam, lats in cells.items()}
 

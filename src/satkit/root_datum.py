@@ -246,19 +246,23 @@ def _dominant_below(datum: RootDatum, mu: Vec) -> tuple[Vec, ...]:
     dominant mu' covers a dominant lam in the dominance order, mu' - lam is
     a positive coroot (Stembridge, The partial order of dominant weights,
     Adv. Math. 136, 1998).  Past _DOMINANT_BUDGET weights it raises
-    TooLarge, and so caches nothing."""
-    found = {mu}
-    stack = [mu]
+    TooLarge, and so caches nothing; it refuses before the walk when the
+    chain mu, mu - beta, mu - 2 beta, ..., dominant and below mu, is that
+    long for a positive coroot beta."""
+    chain = 1 + max((min(_spair(mu, a) // c for a, _ in datum._simple
+                         if (c := _spair(beta, a)) > 0)
+                     for beta in datum.positive_coroots), default=0)
+    found, stack = {mu}, [mu]
     while stack:
+        if max(chain, len(found)) > _DOMINANT_BUDGET:
+            raise TooLarge(f"more than {_DOMINANT_BUDGET} dominant "
+                           f"weights below mu={list(mu)}")
         cur = stack.pop()
         for beta in datum.positive_coroots:
             lam = _vsub(cur, beta)
             if lam not in found and datum.is_dominant(lam):
                 found.add(lam)
                 stack.append(lam)
-                if len(found) > _DOMINANT_BUDGET:
-                    raise TooLarge(f"more than {_DOMINANT_BUDGET} dominant "
-                                   f"weights below mu={list(mu)}")
     return tuple(sorted(found, key=lambda lam: (datum.height2(lam), lam)))
 
 

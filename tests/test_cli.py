@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import itertools
@@ -19,7 +20,7 @@ from satkit.cli import _json, build_parser, main, run_certification
 from satkit.errors import TooLarge
 from satkit.finite_field import GF
 from satkit.lattice_oracle import clamp_workers
-from satkit.root_datum import make_root_datum
+from satkit.root_datum import RootDatum, make_root_datum
 
 
 def run(capsys, *argv):
@@ -416,6 +417,34 @@ def test_dominant_walk_bound_exits_3(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    "geom --type B --rank 3 --mu 99999999,0,0",
+    "satake --type C --rank 3 --mu 99999999,0,0",
+])
+def test_long_dominant_chain_is_refused_before_the_walk(capsys, monkeypatch,
+                                                        argv):
+    calls = []
+    real = RootDatum.is_dominant
+    monkeypatch.setattr(RootDatum, "is_dominant",
+                        lambda self, mu: calls.append(mu) or real(self, mu))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (3, "") and len(calls) <= 300
+    assert err == ("satkit: budget exceeded: more than 100000 dominant "
+                   "weights below mu=[99999999, 0, 0]\n")
+
+
+def test_cli_imports_nothing_from_finite_field():
+    # the oracle's self-test owns its GF(q)[t] matrices
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    imported = []
+    for node in ast.walk(ast.parse((src / "satkit" / "cli.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [getattr(node, "module", None) or "",
+                         *(alias.name for alias in node.names)]
+    assert "errors" in imported
+    assert not [name for name in imported if "finite_field" in name]
+
+
+@pytest.mark.parametrize("argv", [
     "geom --type GL --rank 2 --mu 20000,0",
     "satake --type GL --rank 2 --mu 20000,0",
 ])
@@ -516,8 +545,10 @@ def test_verlinde_missing_args(capsys):
      "mu=(0, 1) is not dominant for GL(2)"),
     ("certify --n 0 --q 2", "n=0 must be >= 1"),
     ("certify --n -1 --q 2", "n=-1 must be >= 1"),
+    ("geom --type GL --rank 0 --mu 1", "rank=0 must be >= 1"),
+    ("geom --type A --rank -1 --mu 1", "rank=-1 must be >= 1"),
 ], ids=["q_list", "ade_without_g", "convolve_lam", "convolve_mu", "satake_mu",
-        "certify_n_0", "certify_n_negative"])
+        "certify_n_0", "certify_n_negative", "rank_0", "rank_negative"])
 def test_bad_argument_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"satkit: {message}\n")

@@ -7,12 +7,14 @@ a bound fails here."""
 
 import importlib
 import inspect
+import itertools
 import pkgutil
 
 import pytest
 
 import satkit
 from satkit import hecke_satake as hs
+from satkit import lattice_oracle as lo
 from satkit import root_datum
 from satkit import weyl_rep as wr
 from satkit.cli import run_certification
@@ -40,7 +42,7 @@ def test_every_memo_is_bounded():
             "weyl_rep._kostant_table", "weyl_rep._explicit_module",
             "hecke_satake.ic_function", "hecke_satake._tensor",
             "hecke_satake._basis_transform", "hecke_satake.convolve_basis",
-            "lattice_oracle._window_cells",
+            "lattice_oracle._window_cells", "lattice_oracle._divisor_position",
             "lattice_oracle._convolution_histogram",
             "finite_field.GF", "verlinde._histograms",
             "cli.build_parser"} <= set(memos)
@@ -50,6 +52,21 @@ def test_every_memo_is_bounded():
     for label in ("GL(1)", "GL(3)", "A2", "B3", "C2", "D4", "G2"):
         datum = make_root_datum(label)
         assert not hasattr(datum, "_caches"), label
+
+
+def test_divisor_rule_runs_once_per_process():
+    """A repeated census or relative-position pass reads the divisor rule's
+    memo: it adds no miss."""
+    rule = lo._divisor_position
+    lo.cell_census(2, 3, 2)
+    misses = rule.cache_info().misses
+    assert lo.cell_census(2, 3, 2) and rule.cache_info().misses == misses
+    lats = list(lo.enumerate_lattices(2, 3, 1))
+    for _ in range(2):
+        misses = rule.cache_info().misses
+        for l1, l2 in itertools.product(lats, repeat=2):
+            lo.relative_position(l1, l2)
+    assert rule.cache_info().misses == misses
 
 
 def test_memoized_walks_hand_out_copies():

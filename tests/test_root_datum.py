@@ -290,6 +290,27 @@ def test_dominant_below_stops_past_its_budget(monkeypatch):
         GL2.dominant_below((20, 0))
 
 
+@pytest.mark.parametrize("label", ["GL(1)", "GL(2)", "GL(3)", "A1", "A2",
+                                   "A3", "B2", "C2", "G2", "B3", "C3", "D4"])
+def test_dominant_below_refuses_exactly_past_its_budget(monkeypatch, label):
+    """The refusal before the walk, by the longest dominant chain
+    mu - k beta, fires only where the walk itself would refuse."""
+    datum = make_root_datum(label)
+    lo, hi = (-2, 2) if label.startswith("GL") else (0, 7 - datum.rank)
+    walk = root_datum._dominant_below.__wrapped__   # past the memo
+    counts = {mu: len(walk(datum, mu))
+              for mu in dominant_coweights_in_box(datum, lo, hi)}
+    for budget in (1, 2, 3, 5, 8, 13, 21):
+        monkeypatch.setattr(root_datum, "_DOMINANT_BUDGET", budget)
+        for mu, count in counts.items():
+            try:
+                walk(datum, mu)
+            except TooLarge:
+                assert count > budget, (mu, budget)
+            else:
+                assert count <= budget, (mu, budget)
+
+
 def rational_coordinates(datum, delta):
     """Coordinates of delta in the simple coroots by Gauss-Jordan
     elimination over Q of [B | delta], or None unless they are integral."""
