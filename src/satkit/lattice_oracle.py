@@ -8,10 +8,10 @@ The enumeration generates only the columns that keep t^{2N} L0 inside the
 form, so no candidate is rejected, in families that differ only in H[0][n-1].
 Relative positions are Smith valuations over GF(q)[[t]] of an upper triangular
 H with powers of t on its diagonal, less an offset: a Hermite form at N, or the
-solved matrix of ``relative_position`` at 2N.  Below rank 4 the first k sum to
-the least valuation of a k x k minor of H (a divisor chain); at rank >= 4 and
-offset <= 1 they lie in {0, 1, 2}, the rank of H mod t counts the zeros and
-val det H fixes the rest.  In a family these move only with val H[0][n-1] or
+solved matrix of ``relative_position`` between windows N1 and N2 at N1 + N2.
+Below rank 4 the first k sum to the least valuation of a k x k minor of H (a
+divisor chain); at rank >= 4 and offset <= 1 they lie in {0, 1, 2}, the rank
+of H mod t counts the zeros and val det H fixes the rest.  In a family these move only with val H[0][n-1] or
 its constant term; the divisor rule is one bounded memo for the process.
 Otherwise (and in ``elementary_divisors``, which ``oracle_selftest`` checks
 on random unimodular products) one local kernel finds them mod t^P, P above
@@ -82,17 +82,6 @@ def t_power_lattice(mu: Vec, q: int, N: int) -> LatticeHNF:
     rows = tuple(tuple(_shift((1,), N + mu[i]) if i == j else ()
                        for j in range(n)) for i in range(n))
     return LatticeHNF(n, q, N, rows)
-
-
-def rewindow(lat: LatticeHNF, N: int) -> LatticeHNF:
-    """Represent the same lattice with a larger window parameter."""
-    if N < lat.window:
-        raise WindowError("can only grow the window")
-    if N == lat.window:
-        return lat
-    k = N - lat.window
-    rows = tuple(tuple(_shift(e, k) for e in row) for row in lat.mat)
-    return LatticeHNF(lat.n, lat.q, N, rows)
 
 
 def candidate_count(n: int, q: int, N: int) -> int:
@@ -446,25 +435,26 @@ def inv_from_standard(lat: LatticeHNF) -> Vec:
 
 
 def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
-    """inv(lat1, lat2): divisors of the matrix X of a basis of lat2 in a
-    basis of lat1, read by ``_positions`` at offset 2N, which cancels the
-    window rescaling; the local kernel runs only at rank >= 4, N >= 1."""
-    if (lat1.n, lat1.q, lat1.window) != (lat2.n, lat2.q, lat2.window):
+    """inv(lat1, lat2) for lattices of any two windows N1, N2: divisors of
+    the matrix X of a basis of lat2 in a basis of lat1, read by
+    ``_positions`` at offset N1 + N2, which cancels both rescalings; the
+    local kernel runs only at rank >= 4, N1 + N2 >= 2."""
+    if (lat1.n, lat1.q) != (lat2.n, lat2.q):
         raise ShapeError("lattices live in different ambient parameters")
-    n, N = lat1.n, lat1.window
+    n, N1 = lat1.n, lat1.window
     ring = PolyRing(GF(lat1.q))
-    # Solve H1 X = t^{2N} H2; X is polynomial because t^{2N} L0 <= lat1, and
-    # upper triangular with powers of t on its diagonal because H1 and H2 are.
+    # Solve H1 X = t^{2 N1} H2; X is polynomial because t^{2 N1} L0 <= H1 L0,
+    # and upper triangular with powers of t on its diagonal as H1 and H2 are.
     cols = []
     for j in range(n):
-        rhs = [_shift(lat2.mat[i][j], 2 * N) for i in range(j + 1)]
+        rhs = [_shift(lat2.mat[i][j], 2 * N1) for i in range(j + 1)]
         sol = _solve_column(ring, lat1.mat, rhs, j)
         if sol is None:
             raise InternalInconsistency("window solve left a remainder")
         cols.append(sol + [()] * (n - 1 - j))
     X = list(zip(*cols))
     d = tuple(len(X[i][i]) - 1 for i in range(n))
-    return _positions(ring, 2 * N, X, d, X[0][-1], 0)[0]
+    return _positions(ring, N1 + lat2.window, X, d, X[0][-1], 0)[0]
 
 
 def _census_chunk(args) -> Counter:
@@ -519,15 +509,14 @@ def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
 
 
 @lru_cache(maxsize=4096)
-def _convolution_histogram(n: int, q: int, lam: Vec, nu: Vec) -> dict:
-    """For fixed lam, nu: counts of inv(L', t^nu L0) over the lam-cell,
-    whose members are enumerated in lam's tight window."""
-    tight = max((abs(x) for x in lam), default=0)
-    N = max(tight, max((abs(x) for x in nu), default=0))
-    target = t_power_lattice(nu, q, N)
+def _convolution_histogram(q: int, lam: Vec, nu: Vec) -> dict:
+    """For fixed lam, nu: counts of inv(L', t^nu L0) = -w0 inv(t^nu L0, L')
+    over the lam-cell, enumerated in lam's tight window; t^nu L0 sits in its
+    own, so the solve against its diagonal basis is a shift of each row."""
+    target = t_power_lattice(nu, q, max(map(abs, nu)))
     counts: dict[Vec, int] = {}
-    for lat in _window_cells(n, q, tight).get(lam, ()):
-        pos = relative_position(rewindow(lat, N), target)
+    for lat in _window_cells(len(lam), q, max(map(abs, lam))).get(lam, ()):
+        pos = tuple(-x for x in reversed(relative_position(target, lat)))
         counts[pos] = counts.get(pos, 0) + 1
     return counts
 
@@ -549,7 +538,7 @@ def convolution_counts(plan: Sequence[tuple[Vec, Vec, Sequence[Vec]]],
         for q in q_list:
             _check_budget(len(lam), q, max(map(abs, lam)))
     # q outermost: each count reads GF(q) from a memo of 16 fields
-    return [[[_convolution_histogram(len(lam), q, lam, nu).get(mu, 0) if ok
+    return [[[_convolution_histogram(q, lam, nu).get(mu, 0) if ok
               else 0 for nu, ok in zip(nus, oks)]
              for (lam, mu, nus), oks in zip(plan, same)] for q in q_list]
 
@@ -579,8 +568,10 @@ def convolution_plan(n: int, q_list: Sequence[int], lo: int, hi: int,
     # each of the C(w + n - 1, n)^2 pairs adds >= |q_list|: nu = lam + mu
     refuse_above(math.comb(hi - lo + n, n) ** 2 * len(q_list))
     doms = list(dominant_coweights_in_box(datum, lo, hi))
-    forms = {lam: sum(candidate_count(n, q, max(map(abs, lam))) if n > 1
-                      else 1 for q in q_list) for lam in doms}
+    per_window = {N: sum(candidate_count(n, q, N) if n > 1 else 1
+                         for q in q_list)
+                  for N in {max(map(abs, lam)) for lam in doms}}
+    forms = {lam: per_window[max(map(abs, lam))] for lam in doms}
     # each pair (lam, mu) adds >= forms(lam): nu = lam + mu has factor >= 1
     refuse_above(len(doms) * sum(forms.values()))
     plan, work = [], 0

@@ -164,6 +164,9 @@ class RootDatum:
         return all(_spair(mu, a) >= 0 for a, _ in self._simple)
 
     def require_dominant(self, mu: Vec, name: str = "mu") -> None:
+        if len(mu) != self.dim:
+            raise ShapeError(f"{name}={mu} has length {len(mu)}, "
+                             f"not {self.dim}")
         if not self.is_dominant(mu):
             raise DomainError(f"{name}={mu} is not dominant for {self.label}")
 

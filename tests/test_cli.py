@@ -488,6 +488,10 @@ def test_gl2_weights_below_the_ray_bound(capsys):
      "9628b581d9454b8cd0806f6bae8d693a00f0f1b645b6acd910f1ca1084f1a8d1"),
     ("oracle --n 2 --q 3 --window 1 --conv-bound 2",
      "18eba6e5bec1449c0103fbbc7fc3eebf4ec7b88703f79fdcae7c4d8457daf6ec"),
+    ("certify --n 3 --q 2 --coord-min -1 --coord-max 1",
+     "230a7ae310500c42b7931dba57efa8bc6c0dda6951cb38c7b5ae0e24e7a92042"),
+    ("certify --n 1 --q 2,3,5 --coord-min -3 --coord-max 3",
+     "30e8d50aab757ab6533bb9a6a34b8d98e92f81e673a9f2bceafa15e55da1a5d0"),
 ])
 def test_payload_bytes_are_pinned(argv, digest):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -547,8 +551,14 @@ def test_verlinde_missing_args(capsys):
     ("certify --n -1 --q 2", "n=-1 must be >= 1"),
     ("geom --type GL --rank 0 --mu 1", "rank=0 must be >= 1"),
     ("geom --type A --rank -1 --mu 1", "rank=-1 must be >= 1"),
+    ("qanalog --type GL --rank 2 --mu 1,0 --lam 1",
+     "lam=(1,) has length 1, not 2"),
+    ("convolve --type GL --rank 2 --lam 1 --mu 1,0",
+     "lam=(1,) has length 1, not 2"),
+    ("geom --type GL --rank 2 --mu 1", "mu=(1,) has length 1, not 2"),
 ], ids=["q_list", "ade_without_g", "convolve_lam", "convolve_mu", "satake_mu",
-        "certify_n_0", "certify_n_negative", "rank_0", "rank_negative"])
+        "certify_n_0", "certify_n_negative", "rank_0", "rank_negative",
+        "qanalog_lam_length", "convolve_lam_length", "geom_mu_length"])
 def test_bad_argument_is_named(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())
     assert (code, out, err) == (2, "", f"satkit: {message}\n")
@@ -674,6 +684,24 @@ def test_oracle_and_certify_refuse_the_same_boxes(capsys, command, n, q,
     assert code == 3 and out == ""
     assert err == "satkit: budget exceeded: certify work estimate exceeds " \
                   "2000000000\n"
+
+
+@pytest.mark.parametrize("argv, most", [
+    ("certify --n 2 --q 2,3 --coord-min -100 --coord-max 100", 101 * 2),
+    # and one for the census of the window, before the plan
+    ("oracle --n 2 --q 2 --window 1 --conv-bound 100", 101 + 1),
+])
+def test_wide_box_counts_forms_once_per_window(capsys, monkeypatch, argv,
+                                               most):
+    # 20,301 dominant lam in [-100, 100]^2 fall in 101 windows max |lam|;
+    # counting the forms once per lam made this refusal take most of a second
+    calls, count = [], lo.candidate_count
+    monkeypatch.setattr(lo, "candidate_count",
+                        lambda *args: calls.append(args) or count(*args))
+    assert run(capsys, *argv.split()) == (
+        3, "", "satkit: budget exceeded: certify work estimate exceeds "
+               "2000000000\n")
+    assert 0 < len(calls) <= most
 
 
 @pytest.mark.parametrize("n, q, bound", [(2, 2, 1), (2, 3, 2), (3, 2, 1)])

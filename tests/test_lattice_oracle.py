@@ -243,7 +243,7 @@ def test_two_walks_give_equal_records():
     assert [hash(a) for a in first] == [hash(b) for b in second]
     assert len(set(first) | set(second)) == len(first)
     lat = lo.t_power_lattice((1, 0, -1), 2, 1)
-    assert lat in set(second) and lat == lo.rewindow(lat, 1)
+    assert lat in set(second)
     assert repr(lat).startswith("LatticeHNF(n=3, q=2, window=1, mat=((")
     assert lat.diag_exponents() == (2, 1, 0)
     for attr in ("n", "q", "window", "mat", "other"):
@@ -419,11 +419,12 @@ def _cofactor(ring, M, r, c):
 
 
 def _reference_position(ring, lat1, lat2):
-    """inv(lat1, lat2) from adj(H1) H2 = det(H1) H1^-1 H2."""
+    """inv(lat1, lat2) from adj(H1) H2 = det(H1) H1^-1 H2: lat_k is
+    t^-N_k H_k L0, so the divisors count from val det H1 + N2 - N1."""
     n = lat1.n
     adj = [[_cofactor(ring, lat1.mat, j, i) for j in range(n)]
            for i in range(n)]
-    shift = sum(lat1.diag_exponents())
+    shift = sum(lat1.diag_exponents()) + lat2.window - lat1.window
     vals = _divisor_valuations(ring, _matmul(ring, adj, lat2.mat))
     return tuple(v - shift for v in vals)
 
@@ -457,6 +458,55 @@ def test_relative_position_matches_divisors():
         l1, l2 = rng.choice(lats), rng.choice(lats)
         assert lo.relative_position(l1, l2) == \
             _reference_position(ring, l1, l2)
+
+
+def test_relative_position_across_windows_matches_divisors(monkeypatch):
+    """Lattices of two different windows need no common one: the solve at
+    offset N1 + N2 agrees with the adjugate, in both orders."""
+    kernel, calls = lo._local_valuations, []
+    monkeypatch.setattr(lo, "_local_valuations",
+                        lambda *args: calls.append(1) or kernel(*args))
+
+    def check(n, q, N1, N2, pairs=None):
+        ring = PolyRing(GF(q))
+        firsts = list(lo.enumerate_lattices(n, q, N1))
+        seconds = list(lo.enumerate_lattices(n, q, N2))
+        rng = random.Random(n * q + N1 + N2)
+        sample = (itertools.product(firsts, seconds) if pairs is None else
+                  [(rng.choice(firsts), rng.choice(seconds))
+                   for _ in range(pairs)])
+        for l1, l2 in sample:
+            for a, b in ((l1, l2), (l2, l1)):
+                assert lo.relative_position(a, b) == \
+                    _reference_position(ring, a, b)
+
+    check(2, 2, 1, 2)
+    check(2, 3, 1, 2, pairs=300)
+    check(3, 2, 1, 2, pairs=150)
+    assert not calls
+    # rank 4: offset N1 + N2 = 1 takes the rank rule, 2 the kernel
+    check(4, 2, 1, 0, pairs=60)
+    assert not calls
+    check(4, 2, 1, 1, pairs=60)
+    assert len(calls) == 120
+
+
+def test_relative_position_of_t_powers_across_windows():
+    """inv(t^mu L0, t^nu L0) is nu - mu sorted decreasingly, whichever
+    windows hold the two lattices."""
+    checked = Counter()
+    for n, most in ((1, 2), (2, 2), (3, 2), (4, 1)):
+        for N1, N2 in itertools.product(range(most + 1), repeat=2):
+            box1 = itertools.product(range(-N1, N1 + 1), repeat=n)
+            box2 = list(itertools.product(range(-N2, N2 + 1), repeat=n))
+            for mu in box1:
+                l1 = lo.t_power_lattice(mu, 2, N1)
+                for nu in box2:
+                    assert lo.relative_position(
+                        l1, lo.t_power_lattice(nu, 2, N2)) == tuple(
+                        sorted((b - a for a, b in zip(mu, nu)), reverse=True))
+                    checked[n] += 1
+    assert checked == {1: 9 ** 2, 2: 35 ** 2, 3: 153 ** 2, 4: 82 ** 2}
 
 
 def test_relative_position_needs_no_kernel_below_rank_4(monkeypatch,
@@ -640,18 +690,31 @@ def test_relative_position_duality():
 
 
 def test_relative_position_window_mismatch():
-    a = lo.t_power_lattice((0, 0), 2, 1)
-    b = lo.t_power_lattice((0, 0), 2, 2)
-    with pytest.raises(ShapeError):
-        lo.relative_position(a, b)
+    """Different windows give the reference value; a different n or q is
+    a ShapeError."""
+    ring = PolyRing(GF(2))
+    a = lo.t_power_lattice((1, 0), 2, 1)
+    b = lo.t_power_lattice((2, -1), 2, 2)
+    assert lo.relative_position(a, b) == _reference_position(ring, a, b) \
+        == (1, -1)
     with pytest.raises(ShapeError):
         lo.relative_position(a, lo.t_power_lattice((0, 0, 0), 2, 1))
+    for other in (lo.t_power_lattice((0, 0), 3, 1),
+                  lo.t_power_lattice((0, 0), 3, 2)):
+        with pytest.raises(ShapeError):
+            lo.relative_position(a, other)
+        with pytest.raises(ShapeError):
+            lo.relative_position(other, a)
 
 
 def test_rewindow_preserves_position():
-    for lat in lo.enumerate_lattices(2, 2, 1):
-        assert lo.inv_from_standard(lat) == \
-            lo.inv_from_standard(lo.rewindow(lat, 3))
+    """L0 at window 0 reads the same position as inv_from_standard, which
+    reads each lattice at its own window."""
+    std = lo.t_power_lattice((0, 0), 2, 0)
+    for N in (1, 2):
+        for lat in lo.enumerate_lattices(2, 2, N):
+            assert lo.relative_position(std, lat) == \
+                lo.inv_from_standard(lat)
 
 
 # -- counting -------------------------------------------------------------------
