@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import hecke_satake as hs
 from . import lattice_oracle as lo
@@ -48,15 +49,12 @@ def _parse_qlist(text: str) -> list[int]:
 def _datum(args) -> RootDatum:
     if args.rank < 1:
         raise DomainError(f"rank={args.rank} must be >= 1")
-    label = args.type.upper()
-    if label == "GL":
-        return make_root_datum(f"GL({args.rank})")
-    return make_root_datum(f"{label}{args.rank}")
+    return make_root_datum(f"{args.type.upper()}{args.rank}")
 
 
-def _json(x, indent: str = "\n") -> str:
-    """json.dumps(x, indent=2), byte for byte, in one recursive pass: with an
-    indent, json.dumps takes its pure-Python encoder."""
+def _leaf(x, indent: str) -> Optional[str]:
+    """json.dumps(x, indent=2) at indent when x is a scalar, an empty
+    container or a list of ints; None for any other value."""
     if type(x) is str:
         return encode_basestring_ascii(x)
     if type(x) is int:
@@ -64,19 +62,82 @@ def _json(x, indent: str = "\n") -> str:
     if type(x) is bool:
         return "true" if x else "false"
     if not x or not isinstance(x, (list, tuple, dict)):
-        return json.dumps(x)   # None, floats and empty containers
+        return json.dumps(x)
+    if type(x) is list and all(type(v) is int for v in x):
+        return _ints(x, indent)
+    return None
+
+
+def _ints(x: list, indent: str) -> str:
+    """json.dumps(x, indent=2) of a list of ints x, at indent."""
     inner = indent + "  "
-    if isinstance(x, dict):
-        items = [f"{_json(k if isinstance(k, str) else json.dumps(k))}: "
-                 f"{repr(v) if type(v) is int else _json(v, inner)}"
-                 for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    items = [repr(v) if type(v) is int else _json(v, inner) for v in x]
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return "[" + inner + ("," + inner).join(map(repr, x)) + indent + "]" if x else "[]"
+
+
+def _rows(first, indent: str) -> Callable[[object], Optional[str]]:
+    """The writer of list elements shaped like first (its str keys and value
+    types, each int, bool or list of ints) through one % template, each int
+    list formatted once per tuple; None for an element of another shape."""
+    kinds = tuple(map(type, first.values())) if type(first) is dict else ()
+    if not kinds or {*kinds} - {int, bool, list} or {*map(type, first)} != {str}:
+        return lambda row: None
+    keys, inner, texts = tuple(first), indent + "  ", {}
+    template = "{" + ",".join(f"{inner}{_leaf(k, inner).replace('%', '%%')}: %s"
+                              for k in keys) + indent + "}"
+    lists = [i for i, kind in enumerate(kinds) if kind is list]
+    bools = [i for i, kind in enumerate(kinds) if kind is bool]
+
+    def write(row) -> Optional[str]:
+        values = [*row.values()] if type(row) is dict and tuple(row) == keys else ()
+        if tuple(map(type, values)) != kinds:
+            return None
+        for i in lists:   # each list of ints formatted once per tuple
+            v = values[i]
+            if not {*map(type, v)} <= {int}:
+                return None
+            if (text := texts.get(t := tuple(v))) is None:
+                text = texts[t] = _ints(v, inner)
+            values[i] = text
+        for i in bools:
+            values[i] = "true" if values[i] else "false"
+        return template % tuple(values)
+    return write
+
+
+def _json(x, indent: str = "\n") -> Iterator[str]:
+    """json.dumps(x, indent=2), byte for byte, in chunks (with an indent,
+    json.dumps takes its pure-Python encoder): a dict item by item, a list
+    element by element, its dicts through ``_rows``."""
+    inner, leaf = indent + "  ", _leaf(x, indent)
+    if leaf is not None:
+        yield leaf
+    elif isinstance(x, dict):
+        sep = "{"
+        for k, v in x.items():
+            key = _leaf(k if isinstance(k, str) else json.dumps(k), inner)
+            if (value := _leaf(v, inner)) is None:
+                yield f"{sep}{inner}{key}: "
+                yield from _json(v, inner)
+            else:
+                yield f"{sep}{inner}{key}: {value}"
+            sep = ","
+        yield indent + "}"
+    else:
+        write, sep = _rows(x[0], inner), "["
+        for v in x:
+            text = write(v) or _leaf(v, inner) or "".join(_json(v, inner))
+            yield sep + inner + text
+            sep = ","
+        yield indent + "]"
 
 
 def _emit(payload: dict, summary: str = "") -> None:
-    sys.stdout.write(_json(payload) + "\n")
+    try:
+        sys.stdout.writelines(_json(payload))
+        sys.stdout.write("\n")
+    except BrokenPipeError:
+        # the reader left: the rest, and the flush at exit, go to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if summary:
         print(summary, file=sys.stderr)
 
@@ -263,13 +324,9 @@ def cmd_verlinde(args) -> int:
         raise DomainError("use one of --batch, --ade with --g, or --n --g "
                           "--m; got " + " ".join(given))
     if args.batch is not None:
-        lines = []
-        for query in _batch_queries(args.batch):
-            out = vl.verlinde_sl_report(query)
-            out["schema"] = SCHEMA
-            lines.append(out)
-        for out in lines:
-            sys.stdout.write(json.dumps(out) + "\n")
+        lines = [{**vl.verlinde_sl_report(query), "schema": SCHEMA}
+                 for query in _batch_queries(args.batch)]
+        sys.stdout.writelines(json.dumps(out) + "\n" for out in lines)
         print(f"{len(lines)} queries", file=sys.stderr)
         return 0
     if args.ade is not None:

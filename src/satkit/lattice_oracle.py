@@ -117,7 +117,7 @@ def _solve_column(ring: PolyRing, upper: Sequence[Sequence[Poly]],
         acc = rhs[i]
         row = upper[i]
         for k in range(i + 1, j + 1):
-            if x[k]:
+            if x[k] and row[k]:
                 acc = ring.sub(acc, ring.mul(row[k], x[k]))
         d = len(row[i]) - 1
         if any(acc[:d]):
@@ -524,14 +524,18 @@ def _convolution_histogram(q: int, lam: Vec, nu: Vec) -> dict:
 def convolution_counts(plan: Sequence[tuple[Vec, Vec, Sequence[Vec]]],
                        q_list: Sequence[int]) -> list[list[list[int]]]:
     """``brute_convolution`` of each (lam, mu, nu) of plan, by q, entry and nu;
-    each triple checked once, the budget once per (q, lam), before counting."""
+    each coweight checked once per role, each (q, lam) budget once, first."""
+    checked, datum = set(), None   # each (vector, name) once, in plan order
     for lam, mu, nus in plan:
         for nu in nus:
             if not (len(lam) == len(mu) == len(nu)):
                 raise ShapeError("lam, mu, nu must have equal length")
-            datum = make_root_datum(f"GL({len(lam)})")
+            if datum is None or datum.dim != len(lam):
+                datum = make_root_datum(f"GL({len(lam)})")
             for v, name in ((lam, "lam"), (mu, "mu"), (nu, "nu")):
-                datum.require_dominant(v, name)
+                if (v, name) not in checked:
+                    checked.add((v, name))
+                    datum.require_dominant(v, name)
     same = [[sum(lam) + sum(mu) == sum(nu) for nu in nus]
             for lam, mu, nus in plan]
     for lam in dict.fromkeys(e[0] for e, s in zip(plan, same) if any(s)):

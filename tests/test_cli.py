@@ -617,13 +617,57 @@ def test_json_deterministic(capsys):
     assert out1 == out2
 
 
-def test_writer_matches_json_dumps():
+def test_writer_matches_json_dumps(monkeypatch):
+    row = {"lambda": [1, -1], "q": 2, "brute": 3, "match": True}
     shapes = [[], {}, [[], [[1, [2, []]], [-3]]], {"a": {}, "b": [[0], []]},
               -7, 10 ** 60, -(10 ** 60), 0.0, True, False, None,
               "Gr\u00e4ssmann \u2113 \"q\"\n",
-              {"rows": [{"match": True, "x": None, "r": 0.0, "s": "\u00e9"}]}]
-    for x in shapes:
-        assert _json(x) == json.dumps(x, indent=2), x
+              {"rows": [{"match": True, "x": None, "r": 0.0, "s": "\u00e9"}]},
+              {1: [2], None: True, 2.5: "x"}, (1, (2, 3)),
+              # row-shaped lists: each later row breaks the first row's shape
+              [row, {**row, "q": True}, {**row, "match": 1}],
+              [row, dict(reversed(row.items())), row],
+              [row, {**row, "lambda": []}, {**row, "lambda": [10 ** 5000]}],
+              [row, {**row, "q": {"nested": [1, {"deep": False}]}}],
+              [row, {**row, "lambda": [True, -1]}, {**row, "lambda": [1.0, -1]},
+               {**row, "lambda": (1, -1)}, {**row, "x": 1}, row],
+              [{"100%": [], "%s": 0, "%(k)d": False}, {"100%": [0], "%s": 1,
+                                                       "%(k)d": True}],
+              [{"q": 1}, {"q": 2}, {1: 3}, {"q": "4"}, 5, [6], None]]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)   # the 5,000-digit int, as main lifts it
+    try:
+        for x in shapes:
+            assert "".join(_json(x)) == json.dumps(x, indent=2), x
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # the chunks of every pinned payload, joined, give the pinned bytes
+    import satkit.cli as cli_mod
+    payloads = []
+    monkeypatch.setattr(cli_mod, "_emit",
+                        lambda payload, summary="": payloads.append(payload))
+    for argv, digest in test_payload_bytes_are_pinned.pytestmark[0].args[1]:
+        assert main(argv.split()) == 0
+        text = "".join(_json(payloads.pop())) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("argv", [
+    "certify --n 2 --q 2,3,4,5,7 --coord-min -2 --coord-max 2",
+    "geom --type A --rank 5 --mu 2,1,0,1,2",
+])
+def test_closed_stdout_ends_cleanly(argv):
+    # the reader leaves after 100 bytes of a payload larger than a pipe holds
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen([sys.executable, "-m", "satkit.cli", *argv.split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err and "Error" not in err, err
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,6 +14,7 @@ from satkit.errors import (DomainError, InternalInconsistency,
                            TooLarge, WindowError)
 from satkit.finite_field import GF, PolyRing
 from satkit.polynomials import QPoly
+from satkit.root_datum import RootDatum
 
 
 # -- an independent second oracle: nilpotent-stable subspaces -------------------
@@ -276,6 +277,22 @@ def test_column_walk_prunes(monkeypatch):
 
     monkeypatch.setattr(lo, "_solve_column", refuse)
     assert sum(1 for _ in lo.enumerate_lattices(3, 5, 1)) == 2607
+
+
+def test_solve_column_skips_zero_entries():
+    # against a diagonal basis, as for t^nu L0, a solve is a shift per row
+    calls = []
+
+    class Counting(PolyRing):
+        def mul(self, a, b):
+            calls.append((a, b))
+            return super().mul(a, b)
+
+    upper = [[(0, 1), (), ()], [(), (1,), ()], [(), (), (0, 0, 1)]]
+    rhs = [(0, 2), (1, 1), (0, 0, 1)]
+    assert lo._solve_column(Counting(GF(3)), upper, rhs, 2) == [
+        (2,), (1, 1), (1,)]
+    assert calls == []
 
 
 def _macdonald_count(mu, q):
@@ -811,6 +828,31 @@ def test_brute_convolution_validation():
         lo.brute_convolution((1, 0), (1, 0, 0), (1, 1), 2)
     with pytest.raises(DomainError):
         lo.brute_convolution((0, 1), (1, 0), (1, 1), 2)
+
+
+def test_convolution_counts_checks_each_coweight_once_in_plan_order(
+        monkeypatch):
+    good = ((1, 0), (1, 0), [(2, 0), (1, 1)])
+    # the first failing check of the plan's order names its vector
+    with pytest.raises(DomainError, match=r"mu=\(0, 1\) is not dominant"):
+        lo.convolution_counts([good, ((1, 0), (0, 1), [(1, 1)]),
+                               ((1, 0), (1, 0), [(1, 1, 0)])], [2])
+    with pytest.raises(ShapeError, match="must have equal length"):
+        lo.convolution_counts([good, ((1, 0), (1, 0), [(1, 1, 0)]),
+                               ((1, 0), (0, 1), [(1, 1)])], [2])
+    plan = [good, good, ((2, 0), (1, 0), [(3, 0), (2, 1)])]
+    expected = [[[lo.brute_convolution(lam, mu, nu, 2) for nu in nus]
+                 for lam, mu, nus in plan]]
+    seen, checked = [], []
+    real, require = lo.make_root_datum, RootDatum.require_dominant
+    monkeypatch.setattr(lo, "make_root_datum",
+                        lambda label: seen.append(label) or real(label))
+    monkeypatch.setattr(RootDatum, "require_dominant", lambda self, v, name:
+                        checked.append((v, name)) or require(self, v, name))
+    assert lo.convolution_counts(plan, [2]) == expected
+    assert seen == ["GL(2)"]   # one datum per length, not one per nu
+    # each distinct (vector, name) once: two lams, one mu, four nus
+    assert len(checked) == len(set(checked)) == 2 + 1 + 4
 
 
 def test_interpolate_count():
