@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import hecke_satake as hs
 from . import lattice_oracle as lo
@@ -131,15 +131,19 @@ def _json(x, indent: str = "\n") -> Iterator[str]:
         yield indent + "]"
 
 
-def _emit(payload: dict, summary: str = "") -> None:
+def _write(*parts: Iterable[str]) -> None:
+    """The one writer of stdout: the chunks of each part, in order."""
     try:
-        sys.stdout.writelines(_json(payload))
-        sys.stdout.write("\n")
+        for part in parts:
+            sys.stdout.writelines(part)
     except BrokenPipeError:
         # the reader left: the rest, and the flush at exit, go to /dev/null
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    if summary:
-        print(summary, file=sys.stderr)
+
+
+def _emit(payload: dict, summary: str) -> None:
+    _write(_json(payload), "\n")
+    print(summary, file=sys.stderr)
 
 
 def _qpoly_json(p) -> list[int]:
@@ -235,9 +239,7 @@ def cmd_oracle(args) -> int:
     _emit(payload, f"GL({n}) over F_{q}, window {N}: "
                    f"{sum(r['count'] for r in report['cells'])} lattices in "
                    f"{len(report['cells'])} cells")
-    if args.selftest and not all(payload["selftest"].values()):
-        return 1
-    return 0
+    return 0 if all(payload.get("selftest", {}).values()) else 1
 
 
 def run_certification(n: int, q_list: Sequence[int], coord_min: int,
@@ -247,8 +249,7 @@ def run_certification(n: int, q_list: Sequence[int], coord_min: int,
     if coord_min > coord_max:
         raise DomainError(f"empty coordinate box [{coord_min}, {coord_max}]"
                           ": nothing to certify")
-    plan = lo.convolution_plan(n, q_list, coord_min, coord_max)
-    brute_table = lo.convolution_counts(plan, q_list)
+    plan, brute_table = lo.convolution_table(n, q_list, coord_min, coord_max)
     datum = make_root_datum(f"GL({n})")
     rows = []
     for (lam, mu, admissible), *by_q in zip(plan, *brute_table):
@@ -326,7 +327,7 @@ def cmd_verlinde(args) -> int:
     if args.batch is not None:
         lines = [{**vl.verlinde_sl_report(query), "schema": SCHEMA}
                  for query in _batch_queries(args.batch)]
-        sys.stdout.writelines(json.dumps(out) + "\n" for out in lines)
+        _write(json.dumps(out) + "\n" for out in lines)
         print(f"{len(lines)} queries", file=sys.stderr)
         return 0
     if args.ade is not None:

@@ -15,8 +15,8 @@ of H mod t counts the zeros and val det H fixes the rest.  In a family these mov
 its constant term; the divisor rule is one bounded memo for the process.
 Otherwise (and in ``elementary_divisors``, which ``oracle_selftest`` checks
 on random unimodular products) one local kernel finds them mod t^P, P above
-every valuation, checked by val det.  ``convolution_counts`` checks a whole
-plan once, then reads each row's memo.
+every valuation, checked by val det.  ``convolution_table`` plans a box and
+checks its budget per (q, window) before it reads any row's memo.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ _CONVOLUTION_WORK = 2 * 10 ** 9
 
 Matrix = tuple[tuple[Poly, ...], ...]
 Profiles = Optional[Iterable[tuple[int, ...]]]
+Plan = list[tuple[Vec, Vec, Sequence[Vec]]]   # (lam, mu, every nu) per pair
 
 
 def enumeration_budget() -> int:
@@ -521,43 +522,36 @@ def _convolution_histogram(q: int, lam: Vec, nu: Vec) -> dict:
     return counts
 
 
-def convolution_counts(plan: Sequence[tuple[Vec, Vec, Sequence[Vec]]],
-                       q_list: Sequence[int]) -> list[list[list[int]]]:
-    """``brute_convolution`` of each (lam, mu, nu) of plan, by q, entry and nu;
-    each coweight checked once per role, each (q, lam) budget once, first."""
-    checked, datum = set(), None   # each (vector, name) once, in plan order
-    for lam, mu, nus in plan:
-        for nu in nus:
-            if not (len(lam) == len(mu) == len(nu)):
-                raise ShapeError("lam, mu, nu must have equal length")
-            if datum is None or datum.dim != len(lam):
-                datum = make_root_datum(f"GL({len(lam)})")
-            for v, name in ((lam, "lam"), (mu, "mu"), (nu, "nu")):
-                if (v, name) not in checked:
-                    checked.add((v, name))
-                    datum.require_dominant(v, name)
-    same = [[sum(lam) + sum(mu) == sum(nu) for nu in nus]
-            for lam, mu, nus in plan]
-    for lam in dict.fromkeys(e[0] for e, s in zip(plan, same) if any(s)):
-        for q in q_list:
-            _check_budget(len(lam), q, max(map(abs, lam)))
+def convolution_table(n: int, q_list: Sequence[int], lo: int, hi: int,
+                      ) -> tuple[Plan, list[list[list[int]]]]:
+    """The plan of the box and ``brute_convolution`` of its rows, by q, entry
+    and nu, after the budget at each q of each window max |lam|, plan order."""
+    plan = convolution_plan(n, q_list, lo, hi)
+    windows = dict.fromkeys(max(map(abs, lam)) for lam, _, _ in plan)
+    for N, q in itertools.product(windows, q_list):
+        _check_budget(n, q, N)
     # q outermost: each count reads GF(q) from a memo of 16 fields
-    return [[[_convolution_histogram(q, lam, nu).get(mu, 0) if ok
-              else 0 for nu, ok in zip(nus, oks)]
-             for (lam, mu, nus), oks in zip(plan, same)] for q in q_list]
+    return plan, [[[_convolution_histogram(q, lam, nu).get(mu, 0)
+                    for nu in nus] for lam, mu, nus in plan] for q in q_list]
 
 
 def brute_convolution(lam: Vec, mu: Vec, nu: Vec, q: int) -> int:
     """Count of lattices L' with inv(L0, L') = lam, inv(L', t^nu L0) = mu: the
-    value of c_lam * c_mu at t^nu, as ``convolution_counts`` of one triple."""
-    return convolution_counts([(lam, mu, [nu])], [q])[0][0][0]
+    value of c_lam * c_mu at t^nu, as one row of ``convolution_table``."""
+    if not (len(lam) == len(mu) == len(nu)):
+        raise ShapeError("lam, mu, nu must have equal length")
+    for v, name in ((lam, "lam"), (mu, "mu"), (nu, "nu")):
+        make_root_datum(f"GL({len(lam)})").require_dominant(v, name)
+    if sum(lam) + sum(mu) != sum(nu):
+        return 0
+    _check_budget(len(lam), q, max(map(abs, lam)))
+    return _convolution_histogram(q, lam, nu).get(mu, 0)
 
 
-def convolution_plan(n: int, q_list: Sequence[int], lo: int, hi: int,
-                     ) -> list[tuple[Vec, Vec, Sequence[Vec]]]:
+def convolution_plan(n: int, q_list: Sequence[int], lo: int, hi: int) -> Plan:
     """(lam, mu, every dominant nu <= lam + mu) for each pair of dominant
     GL(n) coweights with coordinates in [lo, hi], lo <= hi; TooLarge when
-    counting them by ``convolution_counts`` at every q of q_list is estimated
+    counting them by ``convolution_table`` at every q of q_list is estimated
     above _CONVOLUTION_WORK.  The bounds run cheapest first."""
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
@@ -634,14 +628,12 @@ def oracle_report(n: int, q: int, N: int, conv_bound: Optional[int] = None,
     census = cell_census(n, q, N, workers=workers)
     cells = [{"mu": list(mu), "count": census[mu]}
              for mu in sorted(census, reverse=True)]
-    plan = ([] if conv_bound is None else
-            convolution_plan(n, [q], -conv_bound, conv_bound))
-    counts = (c for by_nu in convolution_counts(plan, [q])[0] for c in by_nu)
-    convolutions = [{"lambda": list(lam), "mu": list(mu), "nu": list(nu),
-                     "count": next(counts)}
-                    for lam, mu, nus in plan for nu in nus]
-    return {"n": n, "q": q, "N": N, "cells": cells,
-            "convolutions": convolutions}
+    plan, (table,) = ([], [[]]) if conv_bound is None else convolution_table(
+        n, [q], -conv_bound, conv_bound)
+    return {"n": n, "q": q, "N": N, "cells": cells, "convolutions": [
+        {"lambda": list(lam), "mu": list(mu), "nu": list(nu), "count": c}
+        for (lam, mu, nus), counts in zip(plan, table)
+        for nu, c in zip(nus, counts)]}
 
 
 def report_to_csv(report: dict, prefix: str) -> list[str]:

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib.util
+import inspect
 import itertools
 import json
 import os
@@ -260,13 +261,14 @@ def test_certify_gl1(capsys):
 def test_certify_mismatch_exits_1(capsys, monkeypatch):
     import satkit.cli as cli_mod
 
-    real = cli_mod.lo.convolution_counts
+    real = cli_mod.lo.convolution_table
 
-    def corrupted(plan, q_list):
-        return [[[count + 1 for count in counts] for counts in by_entry]
-                for by_entry in real(plan, q_list)]
+    def corrupted(n, q_list, lo_, hi):
+        plan, table = real(n, q_list, lo_, hi)
+        return plan, [[[count + 1 for count in counts] for counts in by_entry]
+                      for by_entry in table]
 
-    monkeypatch.setattr(cli_mod.lo, "convolution_counts", corrupted)
+    monkeypatch.setattr(cli_mod.lo, "convolution_table", corrupted)
     code, out, _ = run(capsys, "certify", "--n", "2", "--q", "2",
                        "--bound", "0")
     assert code == 1
@@ -655,11 +657,15 @@ def test_writer_matches_json_dumps(monkeypatch):
 @pytest.mark.parametrize("argv", [
     "certify --n 2 --q 2,3,4,5,7 --coord-min -2 --coord-max 2",
     "geom --type A --rank 5 --mu 2,1,0,1,2",
+    "verlinde --batch {queries}",   # 1,500 lines of 80 bytes
 ])
-def test_closed_stdout_ends_cleanly(argv):
+def test_closed_stdout_ends_cleanly(argv, tmp_path):
     # the reader leaves after 100 bytes of a payload larger than a pipe holds
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text('{"n": 2, "g": 1, "m": 1}\n' * 1500)
+    argv = argv.format(queries=queries).split()
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.Popen([sys.executable, "-m", "satkit.cli", *argv.split()],
+    proc = subprocess.Popen([sys.executable, "-m", "satkit.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=dict(os.environ, PYTHONPATH=str(src)))
     assert len(proc.stdout.read(100)) == 100
@@ -668,6 +674,21 @@ def test_closed_stdout_ends_cleanly(argv):
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert "Traceback" not in err and "Error" not in err, err
+
+
+def test_only_the_guarded_writer_touches_stdout():
+    # a write outside _write would miss its BrokenPipeError handler, and a
+    # print without a file argument writes to stdout too
+    import satkit.cli as cli_mod
+    source = inspect.getsource(cli_mod)
+    body = inspect.getsource(cli_mod._write)
+    assert source.count("sys.stdout") == body.count("sys.stdout") > 0
+    prints = [node for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Call) and getattr(node.func, "id", "")
+              == "print"]
+    assert prints and all(
+        any(kw.arg == "file" and ast.unparse(kw.value) == "sys.stderr"
+            for kw in node.keywords) for node in prints)
 
 
 @pytest.mark.parametrize("argv", [
@@ -821,6 +842,21 @@ def test_budget_refuses_a_later_lam_of_the_box(capsys, monkeypatch, warm):
         3, "", "satkit: budget exceeded: 39 candidate forms exceed budget 1\n")
 
 
+def test_certify_reads_the_budget_once_per_q_and_window(capsys, monkeypatch):
+    # the 6 dominant lam of [-1, 1]^2 fall in the windows 0 and 1; cold, each
+    # window's walk over its lattices reads the budget once more
+    argv = "certify --n 2 --q 2,3 --coord-min -1 --coord-max 1".split()
+    calls, budget = [], lo.enumeration_budget
+    monkeypatch.setattr(lo, "enumeration_budget",
+                        lambda: calls.append(None) or budget())
+    for memo in (lo._window_cells, lo._convolution_histogram):
+        memo.cache_clear()
+    for most in (2 * 2 * 2, 2 * 2):   # cold, then warm
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert 0 < len(calls) <= most
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_certify_list_prints_the_same_bytes_warm(capsys, seed):
     # the benchmark's certify list: in a fresh process, then twice in this one
@@ -871,10 +907,11 @@ def test_certify_work_estimate_admits(monkeypatch, n, q_list, box):
     import satkit.cli as cli_mod
 
     # with the brute side stubbed out, only the estimate could refuse
-    monkeypatch.setattr(cli_mod.lo, "convolution_counts",
-                        lambda plan, q_list: [[[0] * len(nus)
-                                               for _, _, nus in plan]
-                                              for _ in q_list])
+    def stub(n, q_list, lo_, hi):
+        plan = lo.convolution_plan(n, q_list, lo_, hi)
+        return plan, [[[0] * len(nus) for _, _, nus in plan] for _ in q_list]
+
+    monkeypatch.setattr(cli_mod.lo, "convolution_table", stub)
     assert run_certification(n, q_list, *box)["rows"]
 
 

@@ -14,7 +14,6 @@ from satkit.errors import (DomainError, InternalInconsistency,
                            TooLarge, WindowError)
 from satkit.finite_field import GF, PolyRing
 from satkit.polynomials import QPoly
-from satkit.root_datum import RootDatum
 
 
 # -- an independent second oracle: nilpotent-stable subspaces -------------------
@@ -830,29 +829,27 @@ def test_brute_convolution_validation():
         lo.brute_convolution((0, 1), (1, 0), (1, 1), 2)
 
 
-def test_convolution_counts_checks_each_coweight_once_in_plan_order(
-        monkeypatch):
-    good = ((1, 0), (1, 0), [(2, 0), (1, 1)])
-    # the first failing check of the plan's order names its vector
-    with pytest.raises(DomainError, match=r"mu=\(0, 1\) is not dominant"):
-        lo.convolution_counts([good, ((1, 0), (0, 1), [(1, 1)]),
-                               ((1, 0), (1, 0), [(1, 1, 0)])], [2])
+@pytest.mark.parametrize("n, box", [(1, (-2, 2)), (2, (-1, 1)), (3, (0, 1))])
+def test_convolution_table_rows_are_brute_convolution(n, box):
+    q_list = [2, 3, 4]
+    plan, table = lo.convolution_table(n, q_list, *box)
+    assert plan == lo.convolution_plan(n, q_list, *box)
+    assert table == [[[lo.brute_convolution(lam, mu, nu, q) for nu in nus]
+                      for lam, mu, nus in plan] for q in q_list]
+
+
+def test_brute_convolution_of_unequal_sums_reads_no_budget(monkeypatch):
+    # no lattice has these positions, so a zero budget refuses nothing
+    monkeypatch.setenv(lo.BUDGET_ENV, "0")
+    assert lo.brute_convolution((1, 0), (1, 0), (1, 0), 2) == 0
+    assert lo.brute_convolution((2, -1), (0, 0), (3, 0), 3) == 0
+    with pytest.raises(TooLarge):
+        lo.brute_convolution((1, 0), (1, 0), (1, 1), 2)
+    # the input is checked before the sums: lengths, then each coweight
     with pytest.raises(ShapeError, match="must have equal length"):
-        lo.convolution_counts([good, ((1, 0), (1, 0), [(1, 1, 0)]),
-                               ((1, 0), (0, 1), [(1, 1)])], [2])
-    plan = [good, good, ((2, 0), (1, 0), [(3, 0), (2, 1)])]
-    expected = [[[lo.brute_convolution(lam, mu, nu, 2) for nu in nus]
-                 for lam, mu, nus in plan]]
-    seen, checked = [], []
-    real, require = lo.make_root_datum, RootDatum.require_dominant
-    monkeypatch.setattr(lo, "make_root_datum",
-                        lambda label: seen.append(label) or real(label))
-    monkeypatch.setattr(RootDatum, "require_dominant", lambda self, v, name:
-                        checked.append((v, name)) or require(self, v, name))
-    assert lo.convolution_counts(plan, [2]) == expected
-    assert seen == ["GL(2)"]   # one datum per length, not one per nu
-    # each distinct (vector, name) once: two lams, one mu, four nus
-    assert len(checked) == len(set(checked)) == 2 + 1 + 4
+        lo.brute_convolution((0, 1), (1, 0, 0), (1, 1), 2)
+    with pytest.raises(DomainError, match=r"lam=\(0, 1\) is not dominant"):
+        lo.brute_convolution((0, 1), (1, 0), (5, 5), 2)
 
 
 def test_interpolate_count():
