@@ -11,8 +11,9 @@ H with powers of t on its diagonal, less an offset: a Hermite form at N, or the
 solved matrix of ``relative_position`` between windows N1 and N2 at N1 + N2.
 Below rank 4 the first k sum to the least valuation of a k x k minor of H (a
 divisor chain); at rank >= 4 and offset <= 1 they lie in {0, 1, 2}, the rank
-of H mod t counts the zeros and val det H fixes the rest.  In a family these move only with val H[0][n-1] or
-its constant term; the divisor rule is one bounded memo for the process.
+of H mod t counts the zeros and val det H fixes the rest.  In a family these
+move only with val H[0][n-1] or its constant term: the census and the cells
+read them once per run, n = 3 ties one by one; the divisor rule is one memo.
 Otherwise (and in ``elementary_divisors``, which ``oracle_selftest`` checks
 on random unimodular products) one local kernel finds them mod t^P, P above
 every valuation, checked by val det.  ``convolution_table`` plans a box and
@@ -391,48 +392,52 @@ def _rank_mod_t(f: GF, mat: Matrix) -> int:
 
 
 def _positions(ring: PolyRing, N: int, rows: Sequence[Sequence], d: Vec,
-               f: Poly, m: int) -> list[Vec]:
-    """inv of each member, its Smith valuations less N."""
+               f: Poly, m: int) -> list[tuple[Vec, int]]:
+    """inv of the members (Smith valuations less N) as runs (position, length)
+    in member order, one per block of fixed val H[0][n-1] or constant term;
+    an n = 3 tie block and the local kernel read each member, runs of 1."""
     n, total, q = len(d), sum(d), ring.field.q
-    tops = itertools.product(range(q), repeat=m)
+    tops, out = itertools.product(range(q), repeat=m), []
     if n >= 4 and N >= 2:   # the local kernel, per member
-        return [tuple(sorted((v - N for v in _t_valuations(
+        return [(tuple(sorted((v - N for v in _t_valuations(
             ring.field, [[*rows[0][:-1], ring.normalize(f + top)], *rows[1:]],
-            2 * N + 1, total)), reverse=True)) for top in tops]
+            2 * N + 1, total)), reverse=True)), 1) for top in tops]
     if n >= 4:   # N <= 1: valuations in {0, 1, 2}; rank H mod t counts 0s
-        keys, pos = [f[0] if f else top[0] if top else 0 for top in tops], {}
-        for c in set(keys):
+        for c, length in ([(f[0] if f else 0, q ** m)] if f or not m else
+                          [(c, q ** (m - 1)) for c in range(q)]):
             r = _rank_mod_t(ring.field, [[*rows[0][:-1], (c,)], *rows[1:]])
             twos, ones = total - n + r, 2 * (n - r) - total
             if twos < 0 or ones < 0:
                 raise InternalInconsistency(f"rank {r} of H mod t and val det "
                                             f"{total} fit no window lattice")
-            pos[c] = (2 - N,) * twos + (1 - N,) * ones + (-N,) * r
-        return [pos[c] for c in keys]
-    # val (f + t^k u) over u in product order: u = 0, then by val u
+            out.append(((2 - N,) * twos + (1 - N,) * ones + (-N,) * r, length))
+        return out
+    # val (f + t^k u) in product order: u = 0, then blocks of one val u each
     vf, k = _val(f, None), len(f)
-    vals = [total] if vf is None else [vf] * q ** m
-    for v in reversed(range(k, k + m) if vf is None else ()):
-        vals += [v] * ((q - 1) * len(vals))
-    keys, fixed = list(zip(vals, itertools.repeat(None))), ()
+    runs = {vf: q ** m} if vf is not None else {total: 1, **{
+        v: (q - 1) * q ** (k + m - 1 - v) for v in reversed(range(k, k + m))}}
+    fixed, tie, at = (), None, 0
     if n == 3:
         fixed = v01, v12 = _val(rows[0][1], total), _val(rows[1][2], total)
         # h01 h12 - t^{d1} h02 may cancel on a tie below Δ_2 at v = cross = Σd
-        tie = v01 + v12 - d[1]
-        ties = tie in vals and v01 + v12 < _hermite_divisors(
-            d, total, total, v01, v12)[1]
-        for i, top in enumerate(tops if ties else ()):
-            if vals[i] == tie:
-                h02 = _shift(ring.normalize(f + top), d[1])
-                cross = ring.sub(ring.mul(rows[0][1], rows[1][2]), h02)
-                keys[i] = (tie, _val(cross, total))
-    return [_divisor_position(N, d, *key, *fixed) for key in keys]
+        if v01 + v12 - d[1] in runs and v01 + v12 < _hermite_divisors(
+                d, total, total, v01, v12)[1]:
+            tie, h = v01 + v12 - d[1], ring.mul(rows[0][1], rows[1][2])
+    for v, length in runs.items():
+        if v != tie:
+            out.append((_divisor_position(N, d, v, None, *fixed), length))
+        else:   # the members of the tie block, one by one
+            out += [(_divisor_position(N, d, tie, _val(ring.sub(h, _shift(
+                ring.normalize(f + top), d[1])), total), *fixed), 1)
+                for top in itertools.islice(tops, at, at + length)]
+        at += length
+    return out
 
 
 def inv_from_standard(lat: LatticeHNF) -> Vec:
     """Relative position inv(L0, lat): the one member of a family."""
     return _positions(PolyRing(GF(lat.q)), lat.window, lat.mat,
-                      lat.diag_exponents(), lat.mat[0][-1], 0)[0]
+                      lat.diag_exponents(), lat.mat[0][-1], 0)[0][0]
 
 
 def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
@@ -455,14 +460,15 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
         cols.append(sol + [()] * (n - 1 - j))
     X = list(zip(*cols))
     d = tuple(len(X[i][i]) - 1 for i in range(n))
-    return _positions(ring, N1 + lat2.window, X, d, X[0][-1], 0)[0]
+    return _positions(ring, N1 + lat2.window, X, d, X[0][-1], 0)[0][0]
 
 
 def _census_chunk(args) -> Counter:
     n, q, N, chunk = args
     ring, out = PolyRing(GF(q)), Counter()
     for family in _families(n, q, N, chunk):
-        out.update(_positions(ring, N, *family))
+        for pos, length in _positions(ring, N, *family):
+            out[pos] += length
     return out
 
 
@@ -474,6 +480,7 @@ def clamp_workers(requested: int, chunks: int, cpus: int) -> int:
 def cell_census(n: int, q: int, N: int, workers: int = 1) -> dict[Vec, int]:
     """Counts of every relative position inv(L0, .) over the whole window,
     from at most min(workers, profiles, CPUs) processes."""
+    GF(q)   # a bad q is a usage error, whatever the estimate
     _check_budget(n, q, N)
     profs = list(_profiles(n, N))
     workers = clamp_workers(workers, len(profs), len(os.sched_getaffinity(0))
@@ -500,12 +507,13 @@ def count_cell(mu: Vec, q: int, N: int, workers: int = 1) -> int:
 
 @lru_cache(maxsize=64)
 def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
-    """Every lattice of the window, grouped by inv(L0, .), in walk order."""
+    """Every lattice of the window, grouped by inv(L0, .), in walk order;
+    both callers have checked the budget."""
     ring, cells = PolyRing(GF(q)), {}
-    for family in _families(n, q, N):
-        for lat, pos in zip(_members(ring, N, *family),
-                            _positions(ring, N, *family)):
-            cells.setdefault(pos, []).append(lat)
+    for family in _families(n, q, N, _profiles(n, N)):
+        members = _members(ring, N, *family)
+        for pos, length in _positions(ring, N, *family):
+            cells.setdefault(pos, []).extend(itertools.islice(members, length))
     return {lam: tuple(lats) for lam, lats in cells.items()}
 
 

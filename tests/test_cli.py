@@ -198,6 +198,18 @@ def test_oracle_budget_exit_3(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("q", ["6", "1", "2000"])
+def test_bad_q_is_a_usage_error_under_any_budget(capsys, monkeypatch, q):
+    # the field is checked before the budget counts candidate forms at q
+    monkeypatch.setenv("SATKIT_BUDGET", "1")
+    oracle = run(capsys, "oracle", "--n", "2", "--q", q, "--window", "1")
+    certify = run(capsys, "certify", "--n", "2", "--q", q,
+                  "--coord-min", "-1", "--coord-max", "1")
+    assert oracle == certify and oracle[:2] == (2, "")
+    assert oracle[2].startswith("satkit: ") and oracle[2].count("\n") == 1
+    assert "budget" not in oracle[2]
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_oracle_bad_budget_env_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("SATKIT_BUDGET", value)
@@ -494,6 +506,12 @@ def test_gl2_weights_below_the_ray_bound(capsys):
      "230a7ae310500c42b7931dba57efa8bc6c0dda6951cb38c7b5ae0e24e7a92042"),
     ("certify --n 1 --q 2,3,5 --coord-min -3 --coord-max 3",
      "30e8d50aab757ab6533bb9a6a34b8d98e92f81e673a9f2bceafa15e55da1a5d0"),
+    ("oracle --n 2 --q 9 --window 2",
+     "441da8b53f0aa7a6ba3eab1819ffdbfa748864e7277e228da0fecec5209b9b81"),
+    ("oracle --n 3 --q 5 --window 1",
+     "f91558f2db346ad8f7cf2e07e156d6417ea368c1b984ae2ef8debb6899be3d00"),
+    ("oracle --n 4 --q 2 --window 1",
+     "7c2c84e7a427976a0154178058a6874bb06eada95af14aa92dc91c3674add761"),
 ])
 def test_payload_bytes_are_pinned(argv, digest):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -843,18 +861,18 @@ def test_budget_refuses_a_later_lam_of_the_box(capsys, monkeypatch, warm):
 
 
 def test_certify_reads_the_budget_once_per_q_and_window(capsys, monkeypatch):
-    # the 6 dominant lam of [-1, 1]^2 fall in the windows 0 and 1; cold, each
-    # window's walk over its lattices reads the budget once more
+    # the 6 dominant lam of [-1, 1]^2 fall in the windows 0 and 1; cold or
+    # warm, each (q, window) is read once, and the walks read it no more
     argv = "certify --n 2 --q 2,3 --coord-min -1 --coord-max 1".split()
     calls, budget = [], lo.enumeration_budget
     monkeypatch.setattr(lo, "enumeration_budget",
                         lambda: calls.append(None) or budget())
     for memo in (lo._window_cells, lo._convolution_histogram):
         memo.cache_clear()
-    for most in (2 * 2 * 2, 2 * 2):   # cold, then warm
+    for state in ("cold", "warm"):
         calls.clear()
         assert run(capsys, *argv)[0] == 0
-        assert 0 < len(calls) <= most
+        assert 0 < len(calls) <= 2 * 2, state
 
 
 @pytest.mark.parametrize("seed", [1, 2])

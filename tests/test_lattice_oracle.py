@@ -193,6 +193,50 @@ def test_census_reads_the_walk(n, q, N):
     assert {lam: len(lats) for lam, lats in cells.items()} == ref
     assert all(lo.inv_from_standard(lat) == lam
                for lam, lats in cells.items() for lat in lats)
+    walk = {}
+    for lat in lo.enumerate_lattices(n, q, N):
+        walk.setdefault(lo.inv_from_standard(lat), []).append(lat)
+    assert cells == {lam: tuple(lats) for lam, lats in walk.items()}
+
+
+class _CountingRing(PolyRing):
+    """A ring that counts its products: at n = 3, ``_positions`` multiplies
+    once per family, h01 h12, and only when it reads a tie block."""
+    products = 0
+
+    def mul(self, a, b):
+        _CountingRing.products += 1
+        return super().mul(a, b)
+
+
+# (n, q, N): the families whose n = 3 tie block is read member by member
+TIE_FAMILIES = {(3, 2, 1): 1, (3, 4, 1): 9, (3, 5, 1): 16}
+
+
+@pytest.mark.parametrize("n,q,N", WALK_CASES + [(3, 3, 1), (3, 5, 1)])
+def test_positions_come_in_runs(n, q, N, monkeypatch):
+    """A family's runs cover its q^m members and expand to their
+    inv_from_standard in member order; the tie block and the rank rule
+    are both reached."""
+    ranks, rank_mod_t = [], lo._rank_mod_t
+    monkeypatch.setattr(lo, "_rank_mod_t",
+                        lambda *a: ranks.append(a) or rank_mod_t(*a))
+    ring, ties, ranked, runs_read, members = _CountingRing(GF(q)), 0, 0, 0, 0
+    for rows, d, f, m in lo._families(n, q, N):
+        products, ranks[:] = _CountingRing.products, []
+        runs = lo._positions(ring, N, rows, d, f, m)
+        ties += _CountingRing.products > products
+        ranked, runs_read = ranked + len(ranks), runs_read + len(runs)
+        members += q ** m
+        assert sum(length for _, length in runs) == q ** m
+        expected = [lo.inv_from_standard(lat)
+                    for lat in lo._members(ring, N, rows, d, f, m)]
+        assert [pos for pos, length in runs for _ in range(length)] == expected
+    if n == 3:
+        assert ties == TIE_FAMILIES.get((n, q, N), ties) > 0
+    if (n, q, N) == (4, 2, 1):   # H mod t ranked once per run, not per member
+        assert ranked == runs_read < members
+    assert runs_read < members or n == 1
 
 
 @pytest.mark.parametrize("q,N", [(2, 30), (1021, 2), (2, 10)])
