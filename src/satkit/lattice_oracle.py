@@ -507,8 +507,8 @@ def count_cell(mu: Vec, q: int, N: int, workers: int = 1) -> int:
 
 @lru_cache(maxsize=64)
 def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
-    """Every lattice of the window, grouped by inv(L0, .), in walk order;
-    both callers have checked the budget."""
+    """Every lattice of the window, grouped by inv(L0, .), in walk order; the
+    histogram's callers have checked the window's budget."""
     ring, cells = PolyRing(GF(q)), {}
     for family in _families(n, q, N, _profiles(n, N)):
         members = _members(ring, N, *family)
@@ -552,6 +552,7 @@ def brute_convolution(lam: Vec, mu: Vec, nu: Vec, q: int) -> int:
         make_root_datum(f"GL({len(lam)})").require_dominant(v, name)
     if sum(lam) + sum(mu) != sum(nu):
         return 0
+    GF(q)   # a bad q is a usage error, whatever the estimate
     _check_budget(len(lam), q, max(map(abs, lam)))
     return _convolution_histogram(q, lam, nu).get(mu, 0)
 

@@ -11,7 +11,7 @@ from satkit import lattice_oracle as lo
 from satkit.cli import main
 from satkit.errors import (DomainError, InternalInconsistency,
                            NonPolynomialCount, ShapeError, SingularMatrix,
-                           TooLarge, WindowError)
+                           TooLarge, UnsupportedType, WindowError)
 from satkit.finite_field import GF, PolyRing
 from satkit.polynomials import QPoly
 
@@ -111,6 +111,16 @@ def test_budget_enforced(monkeypatch):
     assert lo.brute_convolution((1, 0), (1, 0), (1, 1), 2) == 3
 
 
+@pytest.mark.parametrize("q", [6, 1, 2000])
+def test_bad_q_is_refused_before_the_budget(monkeypatch, q):
+    # the field is checked first, so the budget's estimate at q never runs
+    monkeypatch.setenv(lo.BUDGET_ENV, "1")
+    with pytest.raises(UnsupportedType):
+        lo.cell_census(2, q, 1)
+    with pytest.raises(UnsupportedType):
+        lo.brute_convolution((1, 0), (1, 0), (1, 1), q)
+
+
 def test_budget_env_var(monkeypatch):
     monkeypatch.setenv(lo.BUDGET_ENV, "10")
     with pytest.raises(TooLarge):
@@ -200,13 +210,13 @@ def test_census_reads_the_walk(n, q, N):
 
 
 class _CountingRing(PolyRing):
-    """A ring that counts its products: at n = 3, ``_positions`` multiplies
-    once per family, h01 h12, and only when it reads a tie block."""
-    products = 0
+    """A ring that counts its subtractions: at n = 3, ``_positions``
+    subtracts only to read the cross minor of a tie block's members."""
+    subs = 0
 
-    def mul(self, a, b):
-        _CountingRing.products += 1
-        return super().mul(a, b)
+    def sub(self, a, b):
+        self.subs += 1
+        return super().sub(a, b)
 
 
 # (n, q, N): the families whose n = 3 tie block is read member by member
@@ -223,9 +233,9 @@ def test_positions_come_in_runs(n, q, N, monkeypatch):
                         lambda *a: ranks.append(a) or rank_mod_t(*a))
     ring, ties, ranked, runs_read, members = _CountingRing(GF(q)), 0, 0, 0, 0
     for rows, d, f, m in lo._families(n, q, N):
-        products, ranks[:] = _CountingRing.products, []
+        subs, ranks[:] = ring.subs, []
         runs = lo._positions(ring, N, rows, d, f, m)
-        ties += _CountingRing.products > products
+        ties += ring.subs > subs
         ranked, runs_read = ranked + len(ranks), runs_read + len(runs)
         members += q ** m
         assert sum(length for _, length in runs) == q ** m
