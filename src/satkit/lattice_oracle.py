@@ -10,10 +10,12 @@ Relative positions are Smith valuations over GF(q)[[t]] of an upper triangular
 H with powers of t on its diagonal, less an offset: a Hermite form at N, or the
 solved matrix of ``relative_position`` between windows N1 and N2 at N1 + N2.
 Below rank 4 the first k sum to the least valuation of a k x k minor of H (a
-divisor chain); at rank >= 4 and offset <= 1 they lie in {0, 1, 2}, the rank
-of H mod t counts the zeros and val det H fixes the rest.  In a family these
-move only with val H[0][n-1] or its constant term: the census and the cells
-read them once per run, n = 3 ties one by one; the divisor rule is one memo.
+divisor chain), moving in a family only with val H[0][n-1]; at rank >= 4 and
+offset <= 1 they lie in {0, 1, 2}, the rank of H mod t counts the zeros and
+val det H fixes the rest.  A row that is e_i mod t adds 1 to that rank and
+drops out with its column: one elimination serves a family at each constant
+c of H[0][n-1], in at most three runs (c < c*, c*, c > c*).  The census and
+cells read runs, n = 3 ties one by one; the divisor rule is one memo.
 Otherwise (and in ``elementary_divisors``, which ``oracle_selftest`` checks
 on random unimodular products) one local kernel finds them mod t^P, P above
 every valuation, checked by val det.  ``convolution_table`` plans a box and
@@ -90,11 +92,8 @@ def candidate_count(n: int, q: int, N: int) -> int:
     """Size of the search space: reduced triangular forms over every diagonal
     profile of the window.  It is the budget measure; ``enumerate_lattices``
     generates only the window lattices among them."""
-    total = 1
-    for i in range(n):
-        cols_right = n - 1 - i
-        total *= sum(q ** (d * cols_right) for d in range(2 * N + 1))
-    return total
+    return math.prod(sum(q ** (d * (n - 1 - i)) for d in range(2 * N + 1))
+                     for i in range(n))
 
 
 def _check_budget(n: int, q: int, N: int) -> None:
@@ -116,8 +115,7 @@ def _solve_column(ring: PolyRing, upper: Sequence[Sequence[Poly]],
     coefficients must vanish and the rest is the quotient."""
     x: list[Poly] = [()] * (j + 1)
     for i in range(j, -1, -1):
-        acc = rhs[i]
-        row = upper[i]
+        acc, row = rhs[i], upper[i]
         for k in range(i + 1, j + 1):
             if x[k] and row[k]:
                 acc = ring.sub(acc, ring.mul(row[k], x[k]))
@@ -377,40 +375,57 @@ def _divisor_position(N: int, d: Vec, *vals) -> Vec:
     return tuple(reversed(pos))
 
 
-def _rank_mod_t(f: GF, mat: Matrix) -> int:
-    """Rank over GF(q) of the constant terms of a matrix."""
-    rows, rank = [[e[0] if e else 0 for e in row] for row in mat], 0
-    while rows:
+def _ranks_mod_t(f: GF, mat: Sequence[Sequence[Poly]], cs: range,
+                 ) -> list[tuple[int, int]]:
+    """Ranks over GF(q) of the constant terms of mat (upper triangular, powers
+    of t on its diagonal) with c in place of that of mat[0][n-1], as runs
+    (rank, number of c) over cs: r + [a + c b != 0].  The rows that are e_i
+    mod t and one elimination of the other rows but row 0 give r; it reduces
+    row 0 at c = 0 to a and e_{n-1} to b, with their columns dropped too."""
+    n, add, mul, neg, inv = len(mat), f.add, f.mul, f.neg, f.inv
+    keep = [0] + [j for j in range(1, n) if mat[j][j] != (1,)
+                  or any([e[0] for e in mat[j][j + 1:] if e])]
+    free = int(keep[-1] == n - 1)   # 0 when the column of c drops out
+    a, *rows = [[row[j][0] if row[j] else 0 for j in keep]
+                for row in map(mat.__getitem__, keep)]
+    a[-1] = 0 if free else a[-1]
+    rows, r = [a, [0] * (len(keep) - 1) + [free], *rows], n - len(keep)
+    while len(rows) > 2:   # eliminate all but a and b, reducing them too
         pivot = rows.pop()
-        c = next((c for c, a in enumerate(pivot) if a), None)
-        if c is not None:
-            rank += 1
-            m = f.neg[f.inv[pivot[c]]]
-            rows = [[f.add[a][f.mul[f.mul[m][row[c]]][b]] for a, b in
+        if any(pivot):
+            c = next(c for c, x in enumerate(pivot) if x)
+            r, m = r + 1, neg[inv[pivot[c]]]
+            rows = [[add[x][mul[mul[m][row[c]]][y]] for x, y in
                      zip(row, pivot)] if row[c] else row for row in rows]
-    return rank
+    a, b = rows
+    if not any(b):
+        return [(r + any(a), len(cs))]
+    return [(rank, len([*run])) for rank, run in itertools.groupby(
+        cs, lambda c: r + any([add[x][mul[c][y]] for x, y in zip(a, b)]))]
 
 
 def _positions(ring: PolyRing, N: int, rows: Sequence[Sequence], d: Vec,
                f: Poly, m: int) -> list[tuple[Vec, int]]:
     """inv of the members (Smith valuations less N) as runs (position, length)
-    in member order, one per block of fixed val H[0][n-1] or constant term;
-    an n = 3 tie block and the local kernel read each member, runs of 1."""
-    n, total, q = len(d), sum(d), ring.field.q
-    tops, out = itertools.product(range(q), repeat=m), []
+    in member order: one per block of fixed val H[0][n-1] below rank 4, at
+    most three from one ``_ranks_mod_t`` at rank >= 4 and N <= 1, where a
+    unit row mod t drops out; an n = 3 tie block and the kernel read each."""
+    n, total, q, out = len(d), sum(d), ring.field.q, []
     if n >= 4 and N >= 2:   # the local kernel, per member
         return [(tuple(sorted((v - N for v in _t_valuations(
             ring.field, [[*rows[0][:-1], ring.normalize(f + top)], *rows[1:]],
-            2 * N + 1, total)), reverse=True)), 1) for top in tops]
+            2 * N + 1, total)), reverse=True)), 1)
+            for top in itertools.product(range(q), repeat=m)]
     if n >= 4:   # N <= 1: valuations in {0, 1, 2}; rank H mod t counts 0s
-        for c, length in ([(f[0] if f else 0, q ** m)] if f or not m else
-                          [(c, q ** (m - 1)) for c in range(q)]):
-            r = _rank_mod_t(ring.field, [[*rows[0][:-1], (c,)], *rows[1:]])
+        c = f[0] if f else 0
+        cs = range(q) if m and not f else range(c, c + 1)
+        for r, size in _ranks_mod_t(ring.field, rows, cs):
             twos, ones = total - n + r, 2 * (n - r) - total
             if twos < 0 or ones < 0:
                 raise InternalInconsistency(f"rank {r} of H mod t and val det "
                                             f"{total} fit no window lattice")
-            out.append(((2 - N,) * twos + (1 - N,) * ones + (-N,) * r, length))
+            out.append(((2 - N,) * twos + (1 - N,) * ones + (-N,) * r,
+                        size * q ** m // len(cs)))
         return out
     # val (f + t^k u) in product order: u = 0, then blocks of one val u each
     vf, k = _val(f, None), len(f)
@@ -429,7 +444,8 @@ def _positions(ring: PolyRing, N: int, rows: Sequence[Sequence], d: Vec,
         else:   # the members of the tie block, one by one
             out += [(_divisor_position(N, d, tie, _val(ring.sub(h, _shift(
                 ring.normalize(f + top), d[1])), total), *fixed), 1)
-                for top in itertools.islice(tops, at, at + length)]
+                for top in itertools.islice(
+                    itertools.product(range(q), repeat=m), at, at + length)]
         at += length
     return out
 
@@ -451,14 +467,12 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
     ring = PolyRing(GF(lat1.q))
     # Solve H1 X = t^{2 N1} H2; X is polynomial because t^{2 N1} L0 <= H1 L0,
     # and upper triangular with powers of t on its diagonal as H1 and H2 are.
-    cols = []
-    for j in range(n):
-        rhs = [_shift(lat2.mat[i][j], 2 * N1) for i in range(j + 1)]
-        sol = _solve_column(ring, lat1.mat, rhs, j)
-        if sol is None:
-            raise InternalInconsistency("window solve left a remainder")
-        cols.append(sol + [()] * (n - 1 - j))
-    X = list(zip(*cols))
+    cols = [_solve_column(ring, lat1.mat, [_shift(lat2.mat[i][j], 2 * N1)
+                                           for i in range(j + 1)], j)
+            for j in range(n)]
+    if None in cols:
+        raise InternalInconsistency("window solve left a remainder")
+    X = list(zip(*(col + [()] * (n - 1 - j) for j, col in enumerate(cols))))
     d = tuple(len(X[i][i]) - 1 for i in range(n))
     return _positions(ring, N1 + lat2.window, X, d, X[0][-1], 0)[0][0]
 
@@ -523,11 +537,9 @@ def _convolution_histogram(q: int, lam: Vec, nu: Vec) -> dict:
     over the lam-cell, enumerated in lam's tight window; t^nu L0 sits in its
     own, so the solve against its diagonal basis is a shift of each row."""
     target = t_power_lattice(nu, q, max(map(abs, nu)))
-    counts: dict[Vec, int] = {}
-    for lat in _window_cells(len(lam), q, max(map(abs, lam))).get(lam, ()):
-        pos = tuple(-x for x in reversed(relative_position(target, lat)))
-        counts[pos] = counts.get(pos, 0) + 1
-    return counts
+    cell = _window_cells(len(lam), q, max(map(abs, lam))).get(lam, ())
+    return Counter(tuple(-x for x in reversed(relative_position(target, lat)))
+                   for lat in cell)
 
 
 def convolution_table(n: int, q_list: Sequence[int], lo: int, hi: int,
@@ -614,8 +626,7 @@ def interpolate_count(counter: Callable[[int], int],
     for c, x0 in zip(reversed(coeffs[:-1]), reversed(xs[:-1])):
         poly = [a - x0 * b for a, b in zip([0] + poly, poly + [0])]
         poly[0] += c
-    check = sum(poly[i] * qs[-1] ** i for i in range(len(poly)))
-    if check != counts[-1]:
+    if sum(poly[i] * qs[-1] ** i for i in range(len(poly))) != counts[-1]:
         raise NonPolynomialCount(
             f"count {counts[-1]} at q={qs[-1]} disagrees with interpolation",
             qs[-1])

@@ -334,36 +334,24 @@ def _chain(rank: int) -> list[list[int]]:
 
 
 def _cartan(series: str, rank: int) -> list[list[int]]:
-    if series == "A":
-        if rank < 1:
-            raise UnsupportedType("A_r needs r >= 1")
-        return _chain(rank)
-    if series == "B":
-        if rank < 2:
-            raise UnsupportedType("B_r needs r >= 2")
-        c = _chain(rank)
-        c[rank - 2][rank - 1] = -2   # last simple root is short
-        return c
-    if series == "C":
-        if rank < 2:
-            raise UnsupportedType("C_r needs r >= 2")
-        c = _chain(rank)
-        c[rank - 1][rank - 2] = -2   # last simple root is long
-        return c
-    if series == "D":
-        if rank < 3:
-            raise UnsupportedType("D_r needs r >= 3")
-        c = _chain(rank)
-        c[rank - 2][rank - 1] = 0
-        c[rank - 1][rank - 2] = 0
-        c[rank - 3][rank - 1] = -1
-        c[rank - 1][rank - 3] = -1
-        return c
     if series == "G":
         if rank != 2:
             raise UnsupportedType("G series only exists in rank 2")
         return [[2, -1], [-3, 2]]
-    raise UnsupportedType(f"series {series!r} not supported")
+    least = {"A": 1, "B": 2, "C": 2, "D": 3}.get(series)
+    if least is None:
+        raise UnsupportedType(f"series {series!r} not supported")
+    if rank < least:
+        raise UnsupportedType(f"{series}_r needs r >= {least}")
+    c = _chain(rank)
+    if series == "B":
+        c[rank - 2][rank - 1] = -2   # last simple root is short
+    elif series == "C":
+        c[rank - 1][rank - 2] = -2   # last simple root is long
+    elif series == "D":
+        c[rank - 2][rank - 1] = c[rank - 1][rank - 2] = 0
+        c[rank - 3][rank - 1] = c[rank - 1][rank - 3] = -1
+    return c
 
 
 @lru_cache(maxsize=64)

@@ -223,29 +223,35 @@ class _CountingRing(PolyRing):
 TIE_FAMILIES = {(3, 2, 1): 1, (3, 4, 1): 9, (3, 5, 1): 16}
 
 
-@pytest.mark.parametrize("n,q,N", WALK_CASES + [(3, 3, 1), (3, 5, 1)])
+@pytest.mark.parametrize("n,q,N",
+                         WALK_CASES + [(3, 3, 1), (3, 5, 1), (4, 3, 1)])
 def test_positions_come_in_runs(n, q, N, monkeypatch):
     """A family's runs cover its q^m members and expand to their
     inv_from_standard in member order; the tie block and the rank rule
-    are both reached."""
-    ranks, rank_mod_t = [], lo._rank_mod_t
-    monkeypatch.setattr(lo, "_rank_mod_t",
-                        lambda *a: ranks.append(a) or rank_mod_t(*a))
+    are both reached, and at rank 4 one elimination serves each family."""
+    ranks, ranks_mod_t = [], lo._ranks_mod_t
+    monkeypatch.setattr(lo, "_ranks_mod_t",
+                        lambda *a: ranks.append(a) or ranks_mod_t(*a))
     ring, ties, ranked, runs_read, members = _CountingRing(GF(q)), 0, 0, 0, 0
+    families = splits = 0
     for rows, d, f, m in lo._families(n, q, N):
         subs, ranks[:] = ring.subs, []
         runs = lo._positions(ring, N, rows, d, f, m)
         ties += ring.subs > subs
         ranked, runs_read = ranked + len(ranks), runs_read + len(runs)
-        members += q ** m
+        members, families = members + q ** m, families + 1
+        # runs c < c*, c = c* and c > c* split around an interior c*
+        splits += n == 4 and len(runs) == 3
         assert sum(length for _, length in runs) == q ** m
         expected = [lo.inv_from_standard(lat)
                     for lat in lo._members(ring, N, rows, d, f, m)]
         assert [pos for pos, length in runs for _ in range(length)] == expected
     if n == 3:
         assert ties == TIE_FAMILIES.get((n, q, N), ties) > 0
-    if (n, q, N) == (4, 2, 1):   # H mod t ranked once per run, not per member
-        assert ranked == runs_read < members
+    if n == 4:   # H mod t eliminated once per family, not once per run
+        assert ranked == families < runs_read < members
+        assert (families, splits > 0) == {(4, 2, 1): (873, False),
+                                          (4, 3, 1): (4863, True)}[n, q, N]
     assert runs_read < members or n == 1
 
 
@@ -366,8 +372,11 @@ def _macdonald_count(mu, q):
 
 
 @pytest.mark.parametrize("n,q,N", [(2, 4, 2), (2, 8, 1), (2, 9, 2),
-                                   (3, 4, 1), (3, 5, 1), (4, 2, 1)])
-def test_census_matches_macdonald(n, q, N):
+                                   (3, 4, 1), (3, 5, 1), (4, 2, 1),
+                                   (4, 3, 1), (5, 2, 1)])
+def test_census_matches_macdonald(n, q, N, monkeypatch):
+    # (5, 2, 1) has 8,788,689 candidate forms
+    monkeypatch.setenv("SATKIT_BUDGET", "10000000")
     dominant = [mu for mu in itertools.product(range(N, -N - 1, -1), repeat=n)
                 if list(mu) == sorted(mu, reverse=True)]
     assert lo.cell_census(n, q, N) == \
@@ -660,12 +669,14 @@ def test_rank_rule_guard(monkeypatch):
     """A rank mod t that no valuations in {0, 1, 2} can meet is caught, by
     inv_from_standard and by the census: full rank with val det 4 leaves -4
     ones, rank 0 with val det 0 leaves -4 twos."""
-    monkeypatch.setattr(lo, "_rank_mod_t", lambda field, mat: len(mat))
+    monkeypatch.setattr(lo, "_ranks_mod_t",
+                        lambda field, mat, cs: [(len(mat), len(cs))])
     with pytest.raises(InternalInconsistency, match="rank 4 of H mod t"):
         lo.inv_from_standard(lo.t_power_lattice((1, 0, 0, -1), 3, 1))
     with pytest.raises(InternalInconsistency, match="rank 4 of H mod t"):
         lo.cell_census(4, 2, 1)
-    monkeypatch.setattr(lo, "_rank_mod_t", lambda field, mat: 0)
+    monkeypatch.setattr(lo, "_ranks_mod_t",
+                        lambda field, mat, cs: [(0, len(cs))])
     with pytest.raises(InternalInconsistency, match="rank 0 of H mod t"):
         lo.inv_from_standard(lo.t_power_lattice((-1, -1, -1, -1), 3, 1))
     with pytest.raises(InternalInconsistency, match="rank 0 of H mod t"):
@@ -703,6 +714,67 @@ def test_rank_rule_matches_kernel(q):
         assert lo.inv_from_standard(lat) == \
             tuple(v - 1 for v in _divisor_valuations(ring, lat.mat))
     assert lo.cell_census(4, q, 0) == {(0, 0, 0, 0): 1}
+
+
+def _rank_by_span(f, A):
+    """The rank of A over GF(q), from the size q^rank of its row space,
+    listed combination by combination: no elimination."""
+    span = {(0,) * len(A[0])}
+    for row in A:
+        span = {tuple(f.add[x][f.mul[c][y]] for x, y in zip(v, row))
+                for v in span for c in range(f.q)}
+    return next(r for r in range(len(A) + 1) if f.q ** r == len(span))
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (4, 4), (5, 3)])
+def test_ranks_mod_t_match_the_row_space(n, q):
+    """_ranks_mod_t agrees at every c with the row space of the constant
+    terms, on random upper triangular matrices with powers of t on the
+    diagonal, whose rows with pivot 1 need not be e_i mod t; over all of
+    GF(q) as runs, and over each single c."""
+    rng, f, ring = random.Random(n * q), GF(q), PolyRing(GF(q))
+    splits = unreduced = 0
+    for _ in range(300):
+        mat = [[ring.t_power(rng.choice((0, 0, 1, 2))) if i == j else
+                ring.normalize([rng.choice((0, rng.randrange(q))), 1])
+                if j > i else () for j in range(n)] for i in range(n)]
+        consts = [[e[0] if e else 0 for e in row] for row in mat]
+        expected = [_rank_by_span(f, [[*consts[0][:-1], c], *consts[1:]])
+                    for c in range(q)]
+        runs = lo._ranks_mod_t(f, mat, range(q))
+        assert [rank for rank, size in runs for _ in range(size)] == expected
+        assert all(lo._ranks_mod_t(f, mat, range(c, c + 1)) ==
+                   [(expected[c], 1)] for c in range(q))
+        splits += len(runs) == 3
+        unreduced += any(row[i] and any(row[i + 1:])
+                         for i, row in enumerate(consts[1:], 1))
+    assert unreduced > 0 and (splits > 0 or q == 2)
+
+
+def test_rank_rule_reads_unreduced_solves(monkeypatch):
+    """At rank 4 with N1 + N2 = 1, relative_position reads its solved matrix
+    X by the rank rule.  Against L0 in window 0, inv(L0, lat) is
+    inv_from_standard(lat) and inv(lat, L0) its -w0, on every lattice of
+    (4, 2, 1) and (4, 3, 1).  Solved against lat, X is no Hermite form:
+    23,284 of them have a row with pivot 1 and a nonzero constant right of
+    it, a row that is not e_i mod t."""
+    ranks_mod_t, unreduced = lo._ranks_mod_t, []
+
+    def spy(field, mat, cs):
+        unreduced.append(any(
+            row[i] == (1,) and any(e[0] for e in row[i + 1:] if e)
+            for i, row in enumerate(mat)))
+        return ranks_mod_t(field, mat, cs)
+
+    monkeypatch.setattr(lo, "_ranks_mod_t", spy)
+    for q in (2, 3):
+        std = lo.t_power_lattice((0, 0, 0, 0), q, 0)
+        for lat in lo.enumerate_lattices(4, q, 1):
+            mu = lo.inv_from_standard(lat)
+            assert lo.relative_position(std, lat) == mu
+            assert lo.relative_position(lat, std) == \
+                tuple(-x for x in reversed(mu))
+    assert sum(unreduced) == 23284
 
 
 CLOSED_FORM_WINDOWS = ([(2, q, N) for q in (2, 3, 4, 9) for N in (0, 1, 2)]
