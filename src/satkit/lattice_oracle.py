@@ -107,13 +107,14 @@ def _check_budget(n: int, q: int, N: int) -> None:
 
 
 def _solve_column(ring: PolyRing, upper: Sequence[Sequence[Poly]],
-                  rhs: Sequence[Poly], j: int) -> Optional[list[Poly]]:
-    """x with upper[i] . x = rhs[i] for i <= j, or None at a remainder.
+                  rhs: Sequence[Poly], j: int) -> list[Poly]:
+    """x with upper[i] . x = rhs[i] for i <= j, zero below row j.
 
     Every diagonal entry upper[i][i] must be a power t^d of t, as in every
     Hermite form here, so dividing by it is a shift: the d lowest
-    coefficients must vanish and the rest is the quotient."""
-    x: list[Poly] = [()] * (j + 1)
+    coefficients must vanish (else InternalInconsistency) and the rest is
+    the quotient."""
+    x: list[Poly] = [()] * len(upper)
     for i in range(j, -1, -1):
         acc, row = rhs[i], upper[i]
         for k in range(i + 1, j + 1):
@@ -121,7 +122,7 @@ def _solve_column(ring: PolyRing, upper: Sequence[Sequence[Poly]],
                 acc = ring.sub(acc, ring.mul(row[k], x[k]))
         d = len(row[i]) - 1
         if any(acc[:d]):
-            return None
+            raise InternalInconsistency("window solve left a remainder")
         x[i] = acc[d:]
     return x
 
@@ -467,12 +468,8 @@ def relative_position(lat1: LatticeHNF, lat2: LatticeHNF) -> Vec:
     ring = PolyRing(GF(lat1.q))
     # Solve H1 X = t^{2 N1} H2; X is polynomial because t^{2 N1} L0 <= H1 L0,
     # and upper triangular with powers of t on its diagonal as H1 and H2 are.
-    cols = [_solve_column(ring, lat1.mat, [_shift(lat2.mat[i][j], 2 * N1)
-                                           for i in range(j + 1)], j)
-            for j in range(n)]
-    if None in cols:
-        raise InternalInconsistency("window solve left a remainder")
-    X = list(zip(*(col + [()] * (n - 1 - j) for j, col in enumerate(cols))))
+    X = list(zip(*[_solve_column(ring, lat1.mat, [_shift(
+        lat2.mat[i][j], 2 * N1) for i in range(j + 1)], j) for j in range(n)]))
     d = tuple(len(X[i][i]) - 1 for i in range(n))
     return _positions(ring, N1 + lat2.window, X, d, X[0][-1], 0)[0][0]
 

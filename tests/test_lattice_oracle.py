@@ -352,6 +352,10 @@ def test_solve_column_skips_zero_entries():
     assert lo._solve_column(Counting(GF(3)), upper, rhs, 2) == [
         (2,), (1, 1), (1,)]
     assert calls == []
+    # zero below row j; a remainder under the diagonal shift is refused
+    assert lo._solve_column(PolyRing(GF(3)), upper, rhs, 0) == [(2,), (), ()]
+    with pytest.raises(InternalInconsistency, match="window solve left"):
+        lo._solve_column(PolyRing(GF(3)), upper, [(1,)], 0)
 
 
 def _macdonald_count(mu, q):
