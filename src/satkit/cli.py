@@ -26,7 +26,7 @@ from . import weyl_rep as wr
 from .errors import (DomainError, IntegralityFailure, InternalInconsistency,
                      NonPolynomialCount, SatkitError, ShapeError, TooLarge,
                      UnsupportedType)
-from .root_datum import Dominance, RootDatum, Vec, make_root_datum
+from .root_datum import Dominance, Vec, make_root_datum
 
 SCHEMA = "satkit/1"
 
@@ -46,10 +46,16 @@ def _parse_qlist(text: str) -> list[int]:
         raise DomainError(f"cannot parse q list {text!r}")
 
 
-def _datum(args) -> RootDatum:
+def _datum(args, *names: str) -> tuple:
+    """The datum of --type and --rank and the coweights named, each parsed
+    and its length checked before the datum is built."""
     if args.rank < 1:
         raise DomainError(f"rank={args.rank} must be >= 1")
-    return make_root_datum(f"{args.type.upper()}{args.rank}")
+    coweights = [_parse_coweight(getattr(args, name)) for name in names]
+    for name, mu in zip(names, coweights):
+        if len(mu) != args.rank:
+            raise ShapeError(f"{name}={mu} has length {len(mu)}, not {args.rank}")
+    return make_root_datum(f"{args.type.upper()}{args.rank}"), *coweights
 
 
 def _leaf(x, indent: str) -> Optional[str]:
@@ -152,8 +158,7 @@ def _qpoly_json(p) -> list[int]:
 
 
 def cmd_geom(args) -> int:
-    datum = _datum(args)
-    mu = _parse_coweight(args.mu)
+    datum, mu = _datum(args, "mu")
     payload = {
         "schema": SCHEMA,
         "datum": datum.label,
@@ -172,9 +177,7 @@ def cmd_geom(args) -> int:
 
 
 def cmd_qanalog(args) -> int:
-    datum = _datum(args)
-    mu = _parse_coweight(args.mu)
-    lam = _parse_coweight(args.lam)
+    datum, mu, lam = _datum(args, "mu", "lam")
     m = wr.lusztig_q_analog(datum, mu, lam)
     payload = {"schema": SCHEMA, "datum": datum.label,
                "mu": list(mu), "lambda": list(lam),
@@ -197,9 +200,7 @@ def cmd_qanalog(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    datum = _datum(args)
-    lam = _parse_coweight(args.lam)
-    mu = _parse_coweight(args.mu)
+    datum, lam, mu = _datum(args, "lam", "mu")
     product = hs.convolve_basis(datum, lam, mu)
     payload = {"schema": SCHEMA, "datum": datum.label,
                "lambda": list(lam), "mu": list(mu),
@@ -210,8 +211,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_satake(args) -> int:
-    datum = _datum(args)
-    mu = _parse_coweight(args.mu)
+    datum, mu = _datum(args, "mu")
     chi = hs.satake_transform(datum, hs.c_basis(datum, mu))
     payload = {"schema": SCHEMA, "datum": datum.label, "mu": list(mu),
                "transform_of": "c_basis", "terms": chi.to_json()}
@@ -349,7 +349,7 @@ def cmd_verlinde(args) -> int:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The `satkit` parser, built once per process."""
+    """The `satkit` parser, built once per process; this memo's value is mutable."""
     parser = argparse.ArgumentParser(
         prog="satkit",
         description="Exact affine-Grassmannian combinatorics with a "

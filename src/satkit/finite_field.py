@@ -2,8 +2,8 @@
 
 Field elements are integers 0..q-1 encoding coordinate vectors in the
 polynomial basis (base-p digits).  The field's interface is its four
-precomputed tables ``add``, ``neg``, ``mul`` and ``inv``, indexed by
-elements, which is the fastest exact representation at oracle scale.  For
+precomputed tables ``add``, ``neg``, ``mul`` and ``inv``, tuples indexed
+by elements, the fastest exact representation at oracle scale.  For
 q = p^e with e > 1, ``mul`` and ``inv`` are built from the powers of t,
 which is primitive modulo every polynomial in ``_IRREDUCIBLE``.
 Polynomials are coefficient tuples, ascending in t, with no trailing zeros.
@@ -51,7 +51,7 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 @lru_cache(maxsize=16)
 class GF:
     """The finite field with q elements, q = p^e <= 1024, e <= 3.  The
-    class is memoized, so GF(q) builds the tables of each q once.
+    class is memoized, so GF(q) builds the tables of each q once, as tuples.
 
     ``add[a][b]``, ``mul[a][b]``, ``neg[a]`` and ``inv[a]`` are the field
     operations (``inv[0]`` is 0)."""
@@ -71,19 +71,15 @@ class GF:
 
         if e == 1:
             # every row holds the same q int objects, not q^2 new ones
-            els = list(range(q))
-            self.add = [els[x:] + els[:x] for x in range(q)]
-            self.neg = [els[-x % p] for x in range(q)]
-            self.mul = [[els[x * y % p] for y in range(q)] for x in range(q)]
-            self.inv = [els[0]] + [els[pow(x, p - 2, p)] for x in range(1, q)]
+            els = tuple(range(q))
+            self.add = tuple([els[x:] + els[:x] for x in range(q)])
+            self.neg = tuple([els[-x % p] for x in range(q)])
+            self.mul = tuple([tuple([els[x*y % p] for y in els]) for x in els])
+            self.inv = (els[0], *[els[pow(x, p - 2, p)] for x in range(1, q)])
             return
 
         def digits(x: int) -> list[int]:
-            out = []
-            for _ in range(e):
-                out.append(x % p)
-                x //= p
-            return out
+            return [x // p ** i % p for i in range(e)]
 
         def undigits(ds: Sequence[int]) -> int:
             x = 0
@@ -91,9 +87,10 @@ class GF:
                 x = x * p + (d % p)
             return x
 
-        self.add = [[undigits([a + b for a, b in zip(digits(x), digits(y))])
-                     for y in range(q)] for x in range(q)]
-        self.neg = [undigits([-d for d in digits(x)]) for x in range(q)]
+        vecs = [digits(x) for x in range(q)]
+        self.add = tuple([tuple([undigits([a + b for a, b in zip(u, v)])
+                                 for v in vecs]) for u in vecs])
+        self.neg = tuple([undigits([-d for d in v]) for v in vecs])
         # powers[k] = t^k: multiply by t, then use t^e = -(modulus below t^e)
         modulus = _IRREDUCIBLE[(p, e)]
         powers = [1]
@@ -109,10 +106,10 @@ class GF:
         for k, x in enumerate(powers):
             log[x] = k
         cyclic = powers * 2
-        self.mul = [[0] * q] + [[0] + [cyclic[log[x] + log[y]]
-                                       for y in range(1, q)]
-                                for x in range(1, q)]
-        self.inv = [0] + [powers[-log[x]] for x in range(1, q)]
+        self.mul = ((0,) * q, *[(0, *[cyclic[log[x] + log[y]]
+                                      for y in range(1, q)])
+                                for x in range(1, q)])
+        self.inv = (0, *[powers[-log[x]] for x in range(1, q)])
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

@@ -14,6 +14,7 @@ InternalInconsistency because it signals a wrong normalization, not bad input.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DomainError, InternalInconsistency
@@ -23,7 +24,7 @@ from . import weyl_rep
 
 
 class _Span:
-    """Finitely supported map from dominant coweights to Laurent scalars."""
+    """A read-only finite map from dominant coweights to Laurent scalars."""
 
     __slots__ = ("datum", "coeffs")
 
@@ -39,7 +40,7 @@ class _Span:
                 continue
             datum.require_dominant(mu, "support element")
             clean[mu] = c
-        self.coeffs = clean
+        self.coeffs = MappingProxyType(clean)
 
     @property
     def support(self) -> list[Vec]:
@@ -97,7 +98,7 @@ def ic_function(datum: RootDatum, mu: Vec) -> HeckeElement:
 @lru_cache(maxsize=4096)
 def _basis_transform(datum: RootDatum, mu: Vec) -> VirtualCharacter:
     """S(c_mu), back-substituted into {f_lam} with lam in decreasing
-    (<2rho,lam>, lam) order; the result is shared, so read it only."""
+    (<2rho,lam>, lam) order."""
     rest, out = {mu: Laurent.ONE}, {}
     for lam in reversed(datum.dominant_below(mu)):
         c = rest.pop(lam, None)
@@ -111,7 +112,7 @@ def _basis_transform(datum: RootDatum, mu: Vec) -> VirtualCharacter:
 
 def satake_transform(datum: RootDatum, h: HeckeElement) -> VirtualCharacter:
     """S(h) = sum over mu of h_mu S(c_mu), each S(c_mu) memoized; a basis
-    element gets the shared memo entry itself, so read the result only."""
+    element gets the memo entry itself."""
     if len(h.coeffs) == 1 and Laurent.ONE in h.coeffs.values():
         return _basis_transform(datum, *h.coeffs)
     out: dict[Vec, Laurent] = {}
@@ -132,9 +133,9 @@ def inverse_satake(datum: RootDatum, chi: VirtualCharacter) -> HeckeElement:
 
 
 @lru_cache(maxsize=4096)
-def _tensor(datum: RootDatum, lam: Vec, mu: Vec) -> dict[Vec, int]:
-    """tensor_decompose, memoized; the dict is shared, so read it only."""
-    return weyl_rep.tensor_decompose(datum, lam, mu)
+def _tensor(datum: RootDatum, lam: Vec, mu: Vec) -> Mapping[Vec, int]:
+    """tensor_decompose, memoized as a read-only mapping."""
+    return MappingProxyType(weyl_rep.tensor_decompose(datum, lam, mu))
 
 
 def character_product(datum: RootDatum, x: VirtualCharacter,
@@ -172,7 +173,7 @@ def hecke_convolve(datum: RootDatum, h1: HeckeElement,
 
 @lru_cache(maxsize=4096)
 def convolve_basis(datum: RootDatum, lam: Vec, mu: Vec) -> HeckeElement:
-    """c_lam * c_mu, memoized, so checked once; shared, so read it only."""
+    """c_lam * c_mu, memoized, so checked once."""
     datum.require_dominant(lam, "lam")   # c_basis checks mu, as "mu"
     return hecke_convolve(datum, c_basis(datum, lam), c_basis(datum, mu))
 

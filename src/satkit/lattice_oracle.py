@@ -29,6 +29,7 @@ import math
 import os
 from collections import Counter
 from functools import lru_cache, reduce
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (DomainError, InternalInconsistency, NonPolynomialCount,
@@ -517,26 +518,26 @@ def count_cell(mu: Vec, q: int, N: int, workers: int = 1) -> int:
 
 
 @lru_cache(maxsize=64)
-def _window_cells(n: int, q: int, N: int) -> dict[Vec, tuple[LatticeHNF, ...]]:
-    """Every lattice of the window, grouped by inv(L0, .), in walk order; the
+def _window_cells(n: int, q: int, N: int) -> MappingProxyType:
+    """Every lattice of the window, in tuples by inv(L0, .), in walk order; the
     histogram's callers have checked the window's budget."""
     ring, cells = PolyRing(GF(q)), {}
     for family in _families(n, q, N, _profiles(n, N)):
         members = _members(ring, N, *family)
         for pos, length in _positions(ring, N, *family):
             cells.setdefault(pos, []).extend(itertools.islice(members, length))
-    return {lam: tuple(lats) for lam, lats in cells.items()}
+    return MappingProxyType({lam: tuple(lats) for lam, lats in cells.items()})
 
 
 @lru_cache(maxsize=4096)
-def _convolution_histogram(q: int, lam: Vec, nu: Vec) -> dict:
+def _convolution_histogram(q: int, lam: Vec, nu: Vec) -> MappingProxyType:
     """For fixed lam, nu: counts of inv(L', t^nu L0) = -w0 inv(t^nu L0, L')
     over the lam-cell, enumerated in lam's tight window; t^nu L0 sits in its
     own, so the solve against its diagonal basis is a shift of each row."""
     target = t_power_lattice(nu, q, max(map(abs, nu)))
     cell = _window_cells(len(lam), q, max(map(abs, lam))).get(lam, ())
-    return Counter(tuple(-x for x in reversed(relative_position(target, lat)))
-                   for lat in cell)
+    return MappingProxyType(Counter(tuple(-x for x in reversed(
+        relative_position(target, lat))) for lat in cell))
 
 
 def convolution_table(n: int, q_list: Sequence[int], lo: int, hi: int,
@@ -573,7 +574,8 @@ def convolution_plan(n: int, q_list: Sequence[int], lo: int, hi: int) -> Plan:
     above _CONVOLUTION_WORK.  The bounds run cheapest first."""
     if n < 1:
         raise DomainError(f"n={n} must be >= 1")
-    datum = make_root_datum(f"GL({n})")
+    if not q_list:
+        raise DomainError("empty q list: nothing to certify")
     for q in q_list:   # a bad q is a usage error, whatever the estimate
         GF(q)
 
@@ -583,6 +585,7 @@ def convolution_plan(n: int, q_list: Sequence[int], lo: int, hi: int) -> Plan:
 
     # each of the C(w + n - 1, n)^2 pairs adds >= |q_list|: nu = lam + mu
     refuse_above(math.comb(hi - lo + n, n) ** 2 * len(q_list))
+    datum = make_root_datum(f"GL({n})")
     doms = list(dominant_coweights_in_box(datum, lo, hi))
     per_window = {N: sum(candidate_count(n, q, N) if n > 1 else 1
                          for q in q_list)

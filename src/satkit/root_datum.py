@@ -75,8 +75,8 @@ class RootDatum:
     labels give the same object and identity is equality.  The roots, 2rho,
     the form ``gram`` and the coroot coordinates of the positive coroots are
     fixed at construction, and nothing changes afterwards.  Results computed
-    from a datum are memoized by the modules that compute them, in bounded
-    module-level ``functools.lru_cache`` memos keyed by the datum.
+    from a datum go to bounded ``functools.lru_cache`` memos keyed by the
+    datum, whose values are immutable and handed out as they are.
     """
 
     def __init__(self, label: str, dim: int,
@@ -231,12 +231,12 @@ class RootDatum:
         """<2rho, mu>: twice the dominance height for coroot-lattice elements."""
         return self.pairing(self.two_rho, mu)
 
-    def dominant_below(self, mu: Vec) -> list[Vec]:
-        """All dominant lam <= mu, sorted by <2rho, lam> then lexicographically,
-        in a new list; the memo ``_dominant_below`` walks to them once."""
+    def dominant_below(self, mu: Vec) -> tuple[Vec, ...]:
+        """All dominant lam <= mu, sorted by <2rho, lam> then lexicographically:
+        the tuple of the memo ``_dominant_below``, which walks to them once."""
         if not self.is_dominant(mu):
             raise ShapeError("dominant_below expects a dominant coweight")
-        return list(_dominant_below(self, mu))
+        return _dominant_below(self, mu)
 
     def __repr__(self) -> str:
         return f"RootDatum({self.label})"

@@ -25,8 +25,9 @@ def schubert_dim(datum: RootDatum, mu: Vec) -> int:
     return datum.height2(mu)
 
 
-def closure_cells(datum: RootDatum, mu: Vec) -> list[Vec]:
-    """All dominant lam <= mu (the strata of the closure), sorted by dimension."""
+def closure_cells(datum: RootDatum, mu: Vec) -> tuple[Vec, ...]:
+    """All dominant lam <= mu (the strata of the closure), sorted by dimension:
+    the memoized tuple of ``dominant_below``."""
     datum.require_dominant(mu)
     return datum.dominant_below(mu)
 

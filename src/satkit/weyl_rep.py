@@ -27,6 +27,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from operator import add, gt, mul, sub
+from types import MappingProxyType
 
 from .errors import DomainError, InternalInconsistency, TooLarge, UnsupportedType
 from .polynomials import QPoly
@@ -45,9 +46,9 @@ def _form(datum: RootDatum, x: Vec, y: Vec) -> int:
                for i in range(datum.dim))
 
 
-def weight_multiplicities(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
-    """All weights of the dual-group irreducible L_mu with multiplicities, in
-    a new dict; the memo ``_freudenthal`` walks once the estimates admit it."""
+def weight_multiplicities(datum: RootDatum, mu: Vec) -> MappingProxyType[Vec, int]:
+    """All weights of the dual-group irreducible L_mu with multiplicities: the
+    ``_freudenthal`` memo's mapping, walked once the estimates admit it."""
     if (dim := dim_rep(datum, mu)) > _DIM_BUDGET:
         raise TooLarge(f"dim L_mu = {dim} exceeds budget {_DIM_BUDGET}")
     # a ray runs along a root string of L_mu: at most 1 + <alpha, mu> weights
@@ -55,14 +56,14 @@ def weight_multiplicities(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
         1 + max((datum.pairing(a, mu) for a in datum.positive_roots), default=0))
     if steps > _RAY_BUDGET:
         raise TooLarge(f"Freudenthal ray walk {steps} > budget {_RAY_BUDGET}")
-    return dict(_freudenthal(datum, mu))
+    return _freudenthal(datum, mu)
 
 
 @lru_cache(maxsize=32)
-def _freudenthal(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
-    """The Freudenthal recursion over dominant weights: ``where`` maps each
-    weight to its dominant conjugate, and a ray point outside it has left
-    the weight polytope.  The memo: shared, so read it only."""
+def _freudenthal(datum: RootDatum, mu: Vec) -> MappingProxyType[Vec, int]:
+    """The Freudenthal recursion over dominant weights, as a read-only
+    mapping: ``where`` maps each weight to its dominant conjugate, and a ray
+    point outside it has left the weight polytope."""
     dom = sorted(datum.dominant_below(mu), key=datum.height2, reverse=True)
     where = {nu: lam for lam in dom for nu in datum.weyl_orbit(lam)}
     # the ray term B(nu, beta) is nu . (B beta), B beta once per coroot
@@ -87,7 +88,7 @@ def _freudenthal(datum: RootDatum, mu: Vec) -> dict[Vec, int]:
         if rem or m <= 0:
             raise InternalInconsistency(f"Freudenthal gives {8 * acc}/{denom} at {lam}")
         mults[lam] = m
-    return {nu: mults[lam] for nu, lam in where.items()}
+    return MappingProxyType({nu: mults[lam] for nu, lam in where.items()})
 
 
 def weight_multiplicity(datum: RootDatum, mu: Vec, lam: Vec) -> int:
@@ -153,7 +154,7 @@ def q_kostant_partition(datum: RootDatum, beta: Vec) -> QPoly:
 
 @lru_cache(maxsize=16)
 def _kostant_table(datum: RootDatum) -> list:
-    """The memo: datum's q-Kostant table, first over the one cell at 0."""
+    """datum's q-Kostant table, first over the cell at 0; it grows in place."""
     return _kostant_fill(datum, (0,) * datum.rank)
 
 

@@ -13,12 +13,13 @@ import time
 
 import pytest
 
+from satkit import cli
 from satkit import hecke_satake as hs
 from satkit import lattice_oracle as lo
 from satkit import verlinde as vl
 from satkit import weyl_rep as wr
 from satkit.cli import _json, build_parser, main, run_certification
-from satkit.errors import TooLarge
+from satkit.errors import DomainError, TooLarge
 from satkit.finite_field import GF
 from satkit.lattice_oracle import clamp_workers
 from satkit.root_datum import RootDatum, make_root_datum
@@ -228,6 +229,40 @@ def test_empty_box_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and len(err.strip().splitlines()) == 1
+
+
+def test_empty_q_list_certifies_nothing():
+    for table in (run_certification, lo.convolution_table):
+        with pytest.raises(DomainError, match="empty q list"):
+            table(2, [], -1, 1)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ("geom --type GL --rank 100000 --mu 1", 2,
+     "mu=(1,) has length 1, not 100000"),
+    ("satake --type C --rank 100000 --mu 1", 2,
+     "mu=(1,) has length 1, not 100000"),
+    ("qanalog --type A --rank 100000 --mu 1 --lam 1,2", 2,
+     "mu=(1,) has length 1, not 100000"),
+    ("qanalog --type A --rank 3 --mu 1,0,0 --lam 1", 2,
+     "lam=(1,) has length 1, not 3"),
+    ("convolve --type GL --rank 100000 --lam 1 --mu 1,2", 2,
+     "lam=(1,) has length 1, not 100000"),
+    ("certify --n 20000 --q 2 --bound 1", 3,
+     "budget exceeded: certify work estimate exceeds 2000000000"),
+], ids=["geom", "satake", "qanalog_mu", "qanalog_lam", "convolve", "certify"])
+def test_refusals_come_before_the_root_datum(capsys, monkeypatch, argv, code,
+                                             message):
+    """A coweight of the wrong length, or a certify box over its cheapest
+    bound, is refused before a datum of that rank is built."""
+    def build(label):
+        raise AssertionError(f"built {label} before the refusal")
+    monkeypatch.setattr(cli, "make_root_datum", build)
+    monkeypatch.setattr(lo, "make_root_datum", build)
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert (got, out, err) == (code, "", f"satkit: {message}\n")
 
 
 @pytest.mark.parametrize("n,window", [("0", "1"), ("2", "-1"), ("4", "-1"),

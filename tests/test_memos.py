@@ -9,16 +9,18 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+from collections.abc import Mapping
 
 import pytest
 
 import satkit
 from satkit import hecke_satake as hs
 from satkit import lattice_oracle as lo
-from satkit import root_datum
+from satkit import root_datum, schubert
 from satkit import weyl_rep as wr
 from satkit.cli import run_certification
 from satkit.errors import TooLarge
+from satkit.finite_field import GF
 from satkit.root_datum import make_root_datum
 
 
@@ -69,31 +71,32 @@ def test_divisor_rule_runs_once_per_process():
     assert rule.cache_info().misses == misses
 
 
-def test_memoized_walks_hand_out_copies():
-    gl3, b3 = make_root_datum("GL(3)"), make_root_datum("B3")
-    for datum, mu in ((gl3, (3, 1, 0)), (b3, (1, 0, 1))):
-        below = datum.dominant_below(mu)
-        kept = list(below)
-        below.append(mu)
-        below.reverse()
-        assert datum.dominant_below(mu) == kept
-        weights = wr.weight_multiplicities(datum, mu)
-        kept = dict(weights)
-        weights[mu] = 99
-        weights.pop(next(iter(kept)))
-        assert wr.weight_multiplicities(datum, mu) == kept
-        assert wr.weight_multiplicity(datum, mu, mu) == 1
-
-
-def test_memoized_product_is_shared_read_only():
-    gl2 = make_root_datum("GL(2)")
-    assert "read it only" in hs.convolve_basis.__doc__
-    product = hs.convolve_basis(gl2, (1, 0), (1, 0))
-    assert hs.convolve_basis(gl2, (1, 0), (1, 0)) is product
-    consts = hs.structure_constants(gl2, (1, 0), (1, 0))
-    kept = dict(consts)
-    consts.clear()
-    assert hs.structure_constants(gl2, (1, 0), (1, 0)) == kept
+def test_memos_hand_out_values_no_caller_can_edit():
+    """A memoized value is handed out as it is, never as a copy, and an edit
+    of it fails; so a caller that tries leaves later certifications intact."""
+    gl2, b3, mu = make_root_datum("GL(2)"), make_root_datum("B3"), (1, 0, 1)
+    memoized = {
+        "dominant_below": lambda: b3.dominant_below(mu),
+        "closure_cells": lambda: schubert.closure_cells(b3, mu),
+        "weight_multiplicities": lambda: wr.weight_multiplicities(b3, mu),
+        "convolve_basis": lambda: hs.convolve_basis(gl2, (1, 0), (1, 0)).coeffs,
+        "ic_function": lambda: hs.ic_function(b3, mu).coeffs,
+        "satake_transform": lambda: hs.satake_transform(
+            b3, hs.c_basis(b3, mu)).coeffs,
+        "GF.add": lambda: GF(4).add,
+        "GF.add row": lambda: GF(4).add[1],
+        "GF.mul": lambda: GF(9).mul,
+        "GF.mul row": lambda: GF(9).mul[2],
+    }
+    for name, get in memoized.items():
+        value = get()
+        key = next(iter(value)) if isinstance(value, Mapping) else 0
+        with pytest.raises(AttributeError):
+            value.clear()
+        with pytest.raises(TypeError):
+            value[key] = value[key]
+        assert get() is value, name
+    assert run_certification(2, [2, 3], -1, 1)["all_match"]
 
 
 def test_each_product_is_checked_once_per_process(monkeypatch):

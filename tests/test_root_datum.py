@@ -213,7 +213,7 @@ def test_two_rho_equals_positive_root_pairing_sum():
 
 def test_dominant_below_sorted_by_height():
     cells = GL3.dominant_below((2, 1, 0))
-    assert cells == [(1, 1, 1), (2, 1, 0)]
+    assert cells == ((1, 1, 1), (2, 1, 0))
     heights = [GL3.height2(c) for c in cells]
     assert heights == sorted(heights)
 
@@ -222,7 +222,7 @@ def _dominant_below_by_coefficients(d, mu):
     """Reference: every mu - sum c_i alpha_i^vee with c >= 0 and
     sum c <= <rho, mu>, keeping the dominant results."""
     if d.rank == 0:
-        return [mu]
+        return (mu,)
     found = []
 
     def rec(idx, remaining, cur):
@@ -237,8 +237,7 @@ def _dominant_below_by_coefficients(d, mu):
             v = _vsub(v, step)
 
     rec(0, d.height2(mu) // 2, mu)
-    found.sort(key=lambda lam: (d.height2(lam), lam))
-    return found
+    return tuple(sorted(found, key=lambda lam: (d.height2(lam), lam)))
 
 
 # The reference visits (<rho, mu> + rank choose rank) vectors, so mu is
@@ -279,7 +278,7 @@ def test_gl1_degenerate():
     assert gl1.is_dominant((5,))
     assert gl1.dominance_leq((1,), (1,)) is Dominance.LE
     assert gl1.dominance_leq((1,), (2,)) is Dominance.INCOMPARABLE_COMPONENTS
-    assert gl1.dominant_below((7,)) == [(7,)]
+    assert gl1.dominant_below((7,)) == ((7,),)
 
 
 def test_dominant_below_stops_past_its_budget(monkeypatch):

@@ -31,9 +31,9 @@ def test_schubert_dim_additive():
 
 
 def test_closure_cells():
-    assert sch.closure_cells(GL2, (2, 0)) == [(1, 1), (2, 0)]
-    assert sch.closure_cells(GL2, (1, 0)) == [(1, 0)]
-    assert sch.closure_cells(GL3, (2, 1, 0)) == [(1, 1, 1), (2, 1, 0)]
+    assert sch.closure_cells(GL2, (2, 0)) == ((1, 1), (2, 0))
+    assert sch.closure_cells(GL2, (1, 0)) == ((1, 0),)
+    assert sch.closure_cells(GL3, (2, 1, 0)) == ((1, 1, 1), (2, 1, 0))
 
 
 def test_parity():
@@ -68,7 +68,7 @@ def test_minuscule_closures_are_single_cells():
     for d in (GL2, GL3, GL4):
         for mu in dominant_coweights_in_box(d, -1, 2):
             if sch.is_minuscule(d, mu):
-                assert sch.closure_cells(d, mu) == [mu]
+                assert sch.closure_cells(d, mu) == (mu,)
 
 
 def test_parabolic_flag_dim():
