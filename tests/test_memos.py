@@ -83,8 +83,8 @@ def test_memos_hand_out_values_no_caller_can_edit():
         "ic_function": lambda: hs.ic_function(b3, mu).coeffs,
         "satake_transform": lambda: hs.satake_transform(
             b3, hs.c_basis(b3, mu)).coeffs,
-        "GF.add": lambda: GF(4).add,
-        "GF.add row": lambda: GF(4).add[1],
+        "GF.add": lambda: GF(5).add,
+        "GF.add row": lambda: GF(5).add[1],
         "GF.mul": lambda: GF(9).mul,
         "GF.mul row": lambda: GF(9).mul[2],
     }
@@ -96,6 +96,7 @@ def test_memos_hand_out_values_no_caller_can_edit():
         with pytest.raises(TypeError):
             value[key] = value[key]
         assert get() is value, name
+    hs.structure_constants(gl2, (1, 0), (1, 0)).clear()   # a dict of its own
     assert run_certification(2, [2, 3], -1, 1)["all_match"]
 
 
