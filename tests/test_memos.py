@@ -71,6 +71,42 @@ def test_divisor_rule_runs_once_per_process():
     assert rule.cache_info().misses == misses
 
 
+def test_memoized_walks_hand_out_copies():
+    """An edit of a memoized walk fails, so no caller's edit reaches the memo
+    that the next caller reads."""
+    gl3, b3 = make_root_datum("GL(3)"), make_root_datum("B3")
+    for datum, mu in ((gl3, (3, 1, 0)), (b3, (1, 0, 1))):
+        below = datum.dominant_below(mu)
+        kept = list(below)
+        with pytest.raises(AttributeError):
+            below.append(mu)
+        with pytest.raises(AttributeError):
+            below.reverse()
+        assert list(datum.dominant_below(mu)) == kept
+        weights = wr.weight_multiplicities(datum, mu)
+        kept = dict(weights)
+        with pytest.raises(TypeError):
+            weights[mu] = 99
+        with pytest.raises(AttributeError):
+            weights.pop(next(iter(kept)))
+        assert dict(wr.weight_multiplicities(datum, mu)) == kept
+        assert wr.weight_multiplicity(datum, mu, mu) == 1
+
+
+def test_memoized_product_is_shared_read_only():
+    gl2 = make_root_datum("GL(2)")
+    product = hs.convolve_basis(gl2, (1, 0), (1, 0))
+    assert hs.convolve_basis(gl2, (1, 0), (1, 0)) is product
+    kept = dict(product.coeffs)
+    with pytest.raises(TypeError):
+        product.coeffs[next(iter(kept))] = 0
+    assert dict(hs.convolve_basis(gl2, (1, 0), (1, 0)).coeffs) == kept
+    consts = hs.structure_constants(gl2, (1, 0), (1, 0))
+    kept = dict(consts)
+    consts.clear()
+    assert hs.structure_constants(gl2, (1, 0), (1, 0)) == kept
+
+
 def test_memos_hand_out_values_no_caller_can_edit():
     """A memoized value is handed out as it is, never as a copy, and an edit
     of it fails; so a caller that tries leaves later certifications intact."""
